@@ -232,8 +232,10 @@ def transitive_orientations(g: LabeledGraph) -> list[Orientation]:
 
     Enumerates consistent choices over the arc implication classes and
     filters directed triangles; together those two constraints are exactly
-    transitivity. Empty result means the graph is not a comparability graph.
-    Intended scale is graphs whose class count is modest (face-poset graphs
+    transitivity. The depth-first search emits the sorted order directly:
+    it decides the class pairs in first-edge order and tries first the side
+    that points each pair's first edge min -> max. Empty result means the
+    graph is not a comparability graph. Intended scale is graphs whose class count is modest (face-poset graphs
     have very few classes); pathological inputs may still take exponential
     time in the class count.
     """
@@ -305,9 +307,7 @@ def transitive_orientations(g: LabeledGraph) -> list[Orientation]:
         # heads entries are overwritten by the next apply; no undo needed
 
     solve(0)
-    out = [Orientation(g.edges, hs) for hs in results]
-    out.sort(key=lambda o: o.direction_bits)
-    return out
+    return [Orientation(g.edges, hs) for hs in results]
 
 
 def is_transitively_orientable(g: LabeledGraph) -> bool:

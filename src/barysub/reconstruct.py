@@ -8,6 +8,10 @@ the reconstruction is well defined; the report says how many orientations
 were tried and whether more than one of them succeeded (which happens
 exactly for the boundary-of-simplex family, where the poset and its
 reversal both arise from complexes).
+
+Posets live on int bit masks: one mask per element holds the elements above
+it, so transitivity, the source-set images and the face-family check are
+word operations on Python integers, with no cap on the element count.
 """
 
 from __future__ import annotations
@@ -15,13 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    MAX_GROUND,
     SimplicialComplex,
     VertexSet,
+    _mask_elements,
     canonical_form,
     complex_from_facets,
 )
 from .errors import EmptyInput, NotAFacePoset, NotTransitive
-from .graphs import LabeledGraph, Orientation, one_skeleton_graph, transitive_orientations
+from .graphs import (
+    LabeledGraph,
+    Orientation,
+    clique_complex,
+    one_skeleton_graph,
+    transitive_orientations,
+)
 
 STATUS_OK = "ok"
 STATUS_NOT_ORIENTABLE = "not_orientable"
@@ -29,99 +41,147 @@ STATUS_NOT_FACE_POSET = "not_face_poset"
 STATUS_NOT_FLAG = "not_flag"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FacePoset:
-    """A strict partial order on graph vertices with longest-path grades."""
+    """A strict partial order on graph vertices with longest-path grades.
+
+    ``up[k]`` is the bit mask of the positions (in ``elements``) of the
+    elements above ``elements[k]``. Build one from an explicit relation with
+    ``FacePoset(elements, relation, grades)``; ``relation`` is derived back
+    from the masks.
+    """
 
     elements: tuple[int, ...]
-    relation: frozenset[tuple[int, int]]
+    up: tuple[int, ...]
     grades: tuple[int, ...]
 
+    def __init__(self, elements, relation, grades):
+        elements = tuple(elements)
+        pos = {v: k for k, v in enumerate(elements)}
+        up = [0] * len(elements)
+        for a, b in relation:
+            up[pos[a]] |= 1 << pos[b]
+        self._init(elements, tuple(up), tuple(grades))
+
+    def _init(self, elements, up, grades) -> None:
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "grades", grades)
+
+    @classmethod
+    def from_masks(cls, up: tuple[int, ...], grades: tuple[int, ...]) -> "FacePoset":
+        """The poset on elements 0..len(up)-1 whose up-sets are the masks ``up``."""
+        p = cls.__new__(cls)
+        p._init(tuple(range(len(up))), up, grades)
+        return p
+
+    @property
+    def relation(self) -> frozenset[tuple[int, int]]:
+        els = self.elements
+        return frozenset(
+            (a, els[j - 1]) for a, m in zip(els, self.up) for j in _mask_elements(m)
+        )
+
     def less(self, a: int, b: int) -> bool:
-        return (a, b) in self.relation
+        els = self.elements
+        return (self.up[els.index(a)] >> els.index(b)) & 1 == 1
 
     def sources(self) -> tuple[int, ...]:
-        heads = {b for _, b in self.relation}
-        return tuple(v for v in self.elements if v not in heads)
+        heads = 0
+        for m in self.up:
+            heads |= m
+        return tuple(v for k, v in enumerate(self.elements) if not (heads >> k) & 1)
 
     def sinks(self) -> tuple[int, ...]:
-        tails = {a for a, _ in self.relation}
-        return tuple(v for v in self.elements if v not in tails)
+        return tuple(v for v, m in zip(self.elements, self.up) if not m)
 
 
 def poset_from_orientation(g: LabeledGraph, o: Orientation) -> FacePoset:
-    """Read an orientation as a strict order; raises NotTransitive if it is not one."""
+    """Read an orientation as a strict order; raises NotTransitive if it is not one.
+
+    The order is transitive exactly when ``up[b]`` lies in ``up[a]`` for every
+    arc a->b. That also rules out directed cycles: around one, the first
+    vertex would end up above itself. Grades are longest-path lengths, filled
+    in along a linear extension ordered by down-set size.
+    """
     n = g.vertex_count
-    succ = [[] for _ in range(n)]
-    rel = set()
-    for tail, head in o.arcs():
-        succ[tail].append(head)
-        rel.add((tail, head))
-    for a in range(n):
-        for b in succ[a]:
-            for c in succ[b]:
-                if (a, c) not in rel:
-                    raise NotTransitive(f"{a}->{b}->{c} without {a}->{c}")
-    indeg = [0] * n
-    for _, b in rel:
-        indeg[b] += 1
+    up = [0] * n
+    below = [0] * n  # down-set sizes: the arcs are the whole relation
+    arcs = o.arcs()
+    for tail, head in arcs:
+        up[tail] |= 1 << head
+        below[head] += 1
+    for tail, head in arcs:
+        missing = up[head] & ~up[tail]
+        if missing:
+            c = (missing & -missing).bit_length() - 1
+            raise NotTransitive(f"{tail}->{head}->{c} without {tail}->{c}")
     grade = [0] * n
-    queue = [v for v in range(n) if indeg[v] == 0]
-    topo = []
-    while queue:
-        v = queue.pop()
-        topo.append(v)
-        for w in succ[v]:
-            if grade[w] < grade[v] + 1:
-                grade[w] = grade[v] + 1
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(topo) != n:
-        raise NotTransitive("orientation contains a directed cycle")
-    return FacePoset(tuple(range(n)), frozenset(rel), tuple(grade))
+    for v in sorted(range(n), key=below.__getitem__):
+        step = grade[v] + 1
+        for w in _mask_elements(up[v]):
+            if grade[w - 1] < step:
+                grade[w - 1] = step
+    return FacePoset.from_masks(tuple(up), tuple(grade))
 
 
 def complex_from_face_poset(p: FacePoset) -> tuple[SimplicialComplex, tuple[int, ...]]:
     """Rebuild the complex whose face poset is p, or raise NotAFacePoset.
 
     Sources become the ground vertices, numbered 1.. in ascending element
-    order; every element maps to its down-set of sources. The map must be
-    injective, must turn the order into inclusion, and the down-sets of the
-    maximal elements must generate exactly the given family. Returns the
-    complex and the source tuple.
+    order; every element maps to the bit mask of sources at or below it.
+    The map must be injective and must turn the order into inclusion, and
+    the images of the sinks must form an antichain. The images are then the
+    full face family of the complex those sink images generate exactly when
+    every element lies at or below a sink and every image with two or more
+    sources stays an image after deleting any one of them. All checks cost
+    O(elements x 64) mask operations. Returns the complex and the source
+    tuple.
     """
-    sources = p.sources()
-    if not sources:
+    up = p.up
+    n = len(up)
+    heads = 0
+    for m in up:
+        heads |= m
+    src = [k for k in range(n) if not (heads >> k) & 1]
+    if not src:
         raise NotAFacePoset("poset has no minimal elements")
-    if len(sources) > 64:
-        raise NotAFacePoset(f"{len(sources)} minimal elements exceed the ground cap")
-    src_bit = {s: 1 << i for i, s in enumerate(sources)}
-    down: dict[int, int] = {}
-    for v in p.elements:
-        m = 0
-        for s in sources:
-            if s == v or p.less(s, v):
-                m |= src_bit[s]
-        down[v] = m
-    masks = list(down.values())
-    if len(set(masks)) != len(masks):
+    if len(src) > MAX_GROUND:
+        raise NotAFacePoset(f"{len(src)} minimal elements exceed the ground cap")
+    # holders[i]: the elements whose image contains source i.
+    holders = [up[s] | 1 << s for s in src]
+    image = [0] * n
+    for i, m in enumerate(holders):
+        bit = 1 << i
+        for k in _mask_elements(m):
+            image[k - 1] |= bit
+    images = set(image)
+    if len(images) != n:
         raise NotAFacePoset("source down-sets are not injective")
-    for a in down:
-        for b in down:
-            if a == b:
-                continue
-            if (down[a] & ~down[b] == 0) != p.less(a, b):
-                raise NotAFacePoset("order does not match down-set inclusion")
-    sinks = p.sinks()
-    cx = complex_from_facets(
-        len(sources), [VertexSet.from_mask(down[t]) for t in sinks]
-    )
-    if {f.mask for f in cx.facets} != {down[t] for t in sinks}:
+    everyone = (1 << n) - 1
+    for k in range(n):
+        # the elements whose image contains image[k] must be those above k
+        above = everyone
+        for i in _mask_elements(image[k]):
+            above &= holders[i - 1]
+        if (above ^ up[k]) & ~(1 << k):
+            raise NotAFacePoset("order does not match down-set inclusion")
+    sinks = [k for k in range(n) if not up[k]]
+    tops = {image[t] for t in sinks}
+    cx = complex_from_facets(len(src), [VertexSet.from_mask(m) for m in tops])
+    if {f.mask for f in cx.facets} != tops:
         raise NotAFacePoset("maximal down-sets are not an antichain")
-    if {f.mask for f in cx.faces()} != set(masks):
-        raise NotAFacePoset("down-sets do not form the full face family")
-    return cx, sources
+    sink_bits = sum(1 << t for t in sinks)
+    for k in range(n):
+        m = image[k]
+        # below no sink (only a self-loop can cause that): in no facet
+        if up[k] and not up[k] & sink_bits:
+            raise NotAFacePoset("down-sets do not form the full face family")
+        if m & (m - 1):
+            for i in _mask_elements(m):
+                if m ^ (1 << (i - 1)) not in images:
+                    raise NotAFacePoset("down-sets do not form the full face family")
+    return cx, tuple(p.elements[s] for s in src)
 
 
 @dataclass(frozen=True)
@@ -180,9 +240,10 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     """Recover, up to isomorphism, the complex whose face-poset graph is g.
 
     Works per connected component: enumerate transitive orientations, keep
-    those whose poset is a face poset, verify all survivors agree up to
-    isomorphism, then take the disjoint union of one representative per
-    component. Fails with "not_orientable" when some component has no
+    those whose poset is a face poset, and take the disjoint union of the
+    first survivor of each component. When a component has two or more
+    survivors, their canonical forms must agree (the rigidity self-check);
+    a single survivor needs no canonical form. Fails with "not_orientable" when some component has no
     transitive orientation and "not_face_poset" when none of a component's
     orientations is a face poset.
     """
@@ -210,12 +271,12 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
         if not successes:
             status = STATUS_NOT_FACE_POSET
             break
-        forms = {canonical_form(cx).sort_key for cx, _ in successes}
-        if len(forms) != 1:
-            raise RuntimeError(
-                "successful orientations disagree; rigidity violated"
-            )
         if len(successes) >= 2:
+            forms = {canonical_form(cx).sort_key for cx, _ in successes}
+            if len(forms) != 1:
+                raise RuntimeError(
+                    "successful orientations disagree; rigidity violated"
+                )
             any_double = True
         picked.append(successes[0])
     if status != STATUS_OK:
@@ -238,14 +299,17 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
 def reconstruct_from_subdivision(b: SimplicialComplex) -> ReconstructionReport:
     """Recover the complex whose barycentric subdivision is b, up to isomorphism.
 
-    A subdivision is a flag complex (all minimal nonfaces have two
-    elements); inputs failing that test report "not_flag". Otherwise the
-    complex is determined by the subdivision's 1-skeleton and the
-    comparability-graph path applies.
+    A subdivision is a flag complex: the clique complex of its own
+    1-skeleton (equivalently, all minimal nonfaces have two elements).
+    Inputs failing that test report "not_flag"; that includes the void and
+    empty complexes and any complex with a ground vertex in no facet.
+    Otherwise the complex is determined by the subdivision's 1-skeleton and
+    the comparability-graph path applies.
     """
-    if any(len(nf) != 2 for nf in b.minimal_nonfaces()):
+    g = one_skeleton_graph(b)
+    if clique_complex(g) != b:
         return ReconstructionReport(STATUS_NOT_FLAG, None, 0, False)
-    return reconstruct_from_comparability_graph(one_skeleton_graph(b))
+    return reconstruct_from_comparability_graph(g)
 
 
 def is_complex_comparability_graph(g: LabeledGraph) -> bool:

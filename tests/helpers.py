@@ -10,7 +10,9 @@ import functools
 from itertools import combinations, permutations
 
 from barysub import (
+    FacePoset,
     LabeledGraph,
+    NotAFacePoset,
     SimplicialComplex,
     VertexSet,
     complex_from_facets,
@@ -120,6 +122,46 @@ def brute_transitive_orientations(g: LabeledGraph) -> list[tuple[int, ...]]:
             results.append(heads)
     results.sort(key=lambda hs: tuple(0 if h == e[1] else 1 for e, h in zip(g.edges, hs)))
     return results
+
+
+def brute_complex_from_face_poset(p: FacePoset):
+    """Face-poset check by pairwise order tests and full face enumeration.
+
+    Same contract and messages as ``complex_from_face_poset``: maps every
+    element to the mask of sources at or below it, tests injectivity and
+    order against inclusion pair by pair, and compares the image set with
+    every face of the complex the sink images generate. The enumeration is
+    exponential in the facet sizes; small inputs only.
+    """
+    sources = p.sources()
+    if not sources:
+        raise NotAFacePoset("poset has no minimal elements")
+    if len(sources) > 64:
+        raise NotAFacePoset(f"{len(sources)} minimal elements exceed the ground cap")
+    src_bit = {s: 1 << i for i, s in enumerate(sources)}
+    down: dict[int, int] = {}
+    for v in p.elements:
+        m = 0
+        for s in sources:
+            if s == v or p.less(s, v):
+                m |= src_bit[s]
+        down[v] = m
+    masks = list(down.values())
+    if len(set(masks)) != len(masks):
+        raise NotAFacePoset("source down-sets are not injective")
+    for a in down:
+        for b in down:
+            if a == b:
+                continue
+            if (down[a] & ~down[b] == 0) != p.less(a, b):
+                raise NotAFacePoset("order does not match down-set inclusion")
+    sinks = p.sinks()
+    c = complex_from_facets(len(sources), [VertexSet.from_mask(down[t]) for t in sinks])
+    if {f.mask for f in c.facets} != {down[t] for t in sinks}:
+        raise NotAFacePoset("maximal down-sets are not an antichain")
+    if {f.mask for f in c.faces()} != set(masks):
+        raise NotAFacePoset("down-sets do not form the full face family")
+    return c, sources
 
 
 def chain_count(c: SimplicialComplex) -> int:

@@ -8,6 +8,7 @@ import pytest
 import helpers
 from helpers import cx, facet_sets
 
+import barysub.reconstruct as reconstruct_module
 from barysub import (
     EmptyInput,
     FacePoset,
@@ -21,8 +22,10 @@ from barysub import (
     STATUS_OK,
     are_isomorphic,
     barycentric_subdivision,
+    clique_complex,
     comparability_graph,
     complex_from_face_poset,
+    empty_complex,
     full_simplex,
     inclusion_orientation,
     is_complex_comparability_graph,
@@ -32,6 +35,7 @@ from barysub import (
     reconstruct_from_subdivision,
     relabel_complex,
     transitive_orientations,
+    void_complex,
 )
 
 P3 = LabeledGraph(3, ((0, 1), (1, 2)))
@@ -116,6 +120,106 @@ def test_complex_from_face_poset_failure_modes():
     bad = FacePoset((0, 1), frozenset({(0, 1), (1, 0)}), (0, 0))
     with pytest.raises(NotAFacePoset, match="minimal"):
         complex_from_face_poset(bad)
+
+
+def _face_poset_outcome(check, p):
+    try:
+        return check(p)
+    except NotAFacePoset as e:
+        return str(e)
+
+
+def _assert_face_poset_check_matches_brute_force(p):
+    got = _face_poset_outcome(complex_from_face_poset, p)
+    want = _face_poset_outcome(helpers.brute_complex_from_face_poset, p)
+    assert got == want, p
+
+
+def test_face_poset_check_matches_brute_force_on_orientations():
+    # every orientation of every face-poset graph, then of random graphs
+    for c in helpers.universe_through(4):
+        g = comparability_graph(c)
+        for o in transitive_orientations(g):
+            _assert_face_poset_check_matches_brute_force(poset_from_orientation(g, o))
+    rng = random.Random(131)
+    for _ in range(300):
+        g = helpers.random_graph(rng, rng.randint(1, 6), rng.random())
+        for o in transitive_orientations(g):
+            _assert_face_poset_check_matches_brute_force(poset_from_orientation(g, o))
+
+
+def test_face_poset_check_matches_brute_force_on_hand_built_posets():
+    cases = [
+        FacePoset((0, 1), frozenset({(0, 1), (1, 0)}), (0, 0)),  # cyclic
+        FacePoset((0,), frozenset({(0, 0)}), (0,)),
+        FacePoset((5, 2, 9), frozenset(), (0, 0, 0)),  # three isolated points
+        FacePoset((7, 3, 4), frozenset({(7, 4), (3, 4)}), (0, 0, 1)),  # an edge
+        # an edge whose top carries a self-loop, so it is not a sink
+        FacePoset((0, 1, 2), frozenset({(0, 2), (1, 2), (2, 2)}), (0, 0, 1)),
+    ]
+    # random relations: not necessarily transitive, acyclic or irreflexive
+    rng = random.Random(137)
+    for _ in range(3000):
+        labels = rng.sample(range(20), rng.randint(1, 6))
+        density = rng.random() / 2
+        rel = frozenset(
+            (a, b) for a in labels for b in labels
+            if rng.random() < density and (a != b or rng.random() < 0.2)
+        )
+        p = FacePoset(tuple(labels), rel, (0,) * len(labels))
+        assert p.relation == rel
+        cases.append(p)
+    outcomes = set()
+    for p in cases:
+        _assert_face_poset_check_matches_brute_force(p)
+        got = _face_poset_outcome(complex_from_face_poset, p)
+        outcomes.add(got if isinstance(got, str) else "ok")
+    assert outcomes == {
+        "ok",
+        "poset has no minimal elements",
+        "source down-sets are not injective",
+        "order does not match down-set inclusion",
+        "down-sets do not form the full face family",
+    }
+
+
+def test_clique_flag_test_matches_two_element_minimal_nonfaces():
+    cases = [void_complex(1), void_complex(3), empty_complex(1), empty_complex(3)]
+    # a ground vertex in no facet
+    cases += [cx(3, (1, 2)), cx(4, (1, 2, 3)), cx(5, (1, 2), (2, 3), (1, 3))]
+    for c in helpers.universe_through(4):
+        cases += [c, barycentric_subdivision(c)[0]]
+    flags = 0
+    for b in cases:
+        flag = all(len(nf) == 2 for nf in b.minimal_nonfaces())
+        flags += flag
+        assert (clique_complex(one_skeleton_graph(b)) == b) == flag, b
+        r = reconstruct_from_subdivision(b)
+        assert (r.status == STATUS_NOT_FLAG) == (not flag), b
+    assert 0 < flags < len(cases)
+
+
+def test_canonical_form_runs_only_with_two_successes(monkeypatch):
+    calls = []
+    real = reconstruct_module.canonical_form
+
+    def counting(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(reconstruct_module, "canonical_form", counting)
+    path4 = cx(4, (1, 2), (2, 3), (3, 4))
+    for c in [path4, full_simplex(6).skeleton(2)]:
+        calls.clear()
+        r = reconstruct_from_comparability_graph(comparability_graph(c))
+        assert r.status == STATUS_OK and not r.both_orientations_admissible
+        assert calls == [], c
+    triangle_boundary = cx(3, (1, 2), (1, 3), (2, 3))
+    for g in [helpers.cycle_graph(6), comparability_graph(triangle_boundary)]:
+        calls.clear()
+        r = reconstruct_from_comparability_graph(g)
+        assert r.status == STATUS_OK and r.both_orientations_admissible
+        assert len(calls) == 2, g
 
 
 def test_reconstruct_path_graph():

@@ -2,13 +2,19 @@
 
 Exit codes: 0 success (or true answer), 1 well-formed false answer,
 2 malformed input or internal error (one-line JSON diagnostic on stderr).
+
+Each command is declared once, in ``COMMANDS``; ``main`` builds the parser on
+its first call and reuses it. Handlers look library operations up as module
+globals when they run, so rebinding a module name (as a tracer does) reaches them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__, jsonio
 from .core import are_isomorphic
@@ -27,7 +33,7 @@ from .reconstruct import (
     reconstruct_from_comparability_graph,
     reconstruct_from_subdivision,
 )
-from .verify import VerificationReport, verify_equivalences, verify_subdivision_rigidity
+from .verify import verify_theorems
 
 
 def _read_json(path: str):
@@ -51,7 +57,113 @@ def _read_graph(path: str):
     return jsonio.graph_from_obj(_read_json(path))
 
 
+def _complex_out(cx) -> tuple[str, int]:
+    return jsonio.dumps(jsonio.complex_to_obj(cx)), 0
+
+
+def _json(obj, yes: bool = True) -> tuple[str, int]:
+    return jsonio.dumps(obj), 0 if yes else 1
+
+
+def _subdivide(args, cx) -> tuple[str, int]:
+    if args.k == 1:
+        sub, labeling = barycentric_subdivision(cx)
+        if args.labels:
+            _write(jsonio.dumps(jsonio.labeling_to_obj(labeling)), args.labels)
+        return _complex_out(sub)
+    if args.labels:
+        raise ValueError("--labels pairs with a single subdivision step")
+    return _complex_out(iterated_subdivision(cx, args.k))
+
+
+def _iso(args, a, b) -> tuple[str, int]:
+    witness = are_isomorphic(a, b)
+    mapping = None if witness is None else list(witness.mapping)
+    return _json({"isomorphic": witness is not None, "map": mapping}, witness is not None)
+
+
+def _reconstruction(rep, want_report: bool) -> tuple[str, int]:
+    if want_report or rep.status != STATUS_OK:
+        return _json(jsonio.reconstruction_report_to_obj(rep), rep.status == STATUS_OK)
+    return _complex_out(rep.complex)
+
+
+def _check_comparability(args, g) -> tuple[str, int]:
+    rep = reconstruct_from_comparability_graph(g)
+    obj = {"is_comparability_graph": rep.status == STATUS_OK, "status": rep.status}
+    return _json(obj, rep.status == STATUS_OK)
+
+
+def _verify(args) -> tuple[str, int]:
+    rep = verify_theorems(args.max_vertices, args.theorem)
+    return _json(jsonio.verification_report_to_obj(rep), not rep.failures)
+
+
+class Command(NamedTuple):
+    help: str
+    inputs: tuple[tuple[str, str, Callable], ...]  # (positional name, help, reader)
+    run: Callable[..., tuple[str, int]]  # (args, *read inputs) -> (output text, exit code)
+    options: tuple[tuple[tuple[str, ...], dict], ...] = ()  # after -o, if there are inputs
+
+
+def _opt(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+COMPLEX = (("input", "path to complex JSON", _read_complex),)
+GRAPH = (("input", "path to graph JSON", _read_graph),)
+OUTPUT = _opt("-o", "--output", default=None, help="output path (default stdout)")
+REPORT = _opt("--report", action="store_true", help="emit the full report JSON")
+
+COMMANDS = {
+    "subdivide": Command("barycentric subdivision (complex JSON out)", COMPLEX, _subdivide, (
+        _opt("-k", type=int, default=1, help="number of subdivision steps (default 1)"),
+        _opt("--labels", default=None, help="also write the vertex/face pairing (k=1 only)"),
+    )),
+    "dual": Command("Alexander dual (complex JSON out)", COMPLEX,
+                    lambda args, cx: _complex_out(alexander_dual(cx))),
+    "complement": Command("facet-complement complex (complex JSON out)", COMPLEX,
+                          lambda args, cx: _complex_out(complement_complex(cx))),
+    "comp-graph": Command(
+        "comparability graph of the face poset (graph JSON out)", COMPLEX,
+        lambda args, cx: _json(jsonio.graph_to_obj(comparability_graph(cx)))),
+    "skeleton": Command("i-skeleton (complex JSON out)", COMPLEX,
+                        lambda args, cx: _complex_out(cx.skeleton(args.i)),
+                        (_opt("-i", type=int, required=True, help="skeleton dimension"),)),
+    "nonfaces": Command("minimal nonfaces (generator-set JSON out)", COMPLEX,
+                        lambda args, cx: _json(jsonio.generators_to_obj(cx.minimal_nonfaces()))),
+    "sr-gens": Command(
+        "Stanley-Reisner ideal generator supports", COMPLEX,
+        lambda args, cx: _json(jsonio.generators_to_obj(stanley_reisner_generators(cx)))),
+    "facet-gens": Command(
+        "facet ideal generator supports", COMPLEX,
+        lambda args, cx: _json(jsonio.generators_to_obj(facet_ideal_generators(cx)))),
+    "euler": Command("Euler characteristic (bare integer out)", COMPLEX,
+                     lambda args, cx: (str(cx.euler_characteristic()), 0)),
+    "iso": Command("isomorphism test with witness; exit code is the answer",
+                   (("a", "path to first complex JSON", _read_complex),
+                    ("b", "path to second complex JSON", _read_complex)), _iso),
+    "reconstruct": Command(
+        "rebuild a complex from a comparability graph", GRAPH,
+        lambda args, g: _reconstruction(reconstruct_from_comparability_graph(g), args.report),
+        (REPORT,)),
+    "reconstruct-sub": Command(
+        "rebuild a complex from its barycentric subdivision", COMPLEX,
+        lambda args, cx: _reconstruction(reconstruct_from_subdivision(cx), args.report),
+        (REPORT,)),
+    "check-comparability": Command("is the graph a face-poset comparability graph", GRAPH,
+                                   _check_comparability),
+    "verify": Command("exhaustive theorem verification over small universes", (), _verify, (
+        _opt("--max-vertices", type=int, required=True),
+        _opt("--theorem", choices=["2.2", "2.3"], default=None,
+             help="2.2 = rigidity, 2.3 = equivalences (default: both)"),
+        _opt("-o", "--output", default=None),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser with one subparser per entry of ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="barysub",
         description="Combinatorial operators on simplicial complexes and "
@@ -59,148 +171,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, graph_input: bool = False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="path to %s JSON" % ("graph" if graph_input else "complex"))
-        p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        return p
-
-    p = add("subdivide", "barycentric subdivision (complex JSON out)")
-    p.add_argument("-k", type=int, default=1, help="number of subdivision steps (default 1)")
-    p.add_argument("--labels", default=None, help="also write the vertex/face pairing (k=1 only)")
-
-    add("dual", "Alexander dual (complex JSON out)")
-    add("complement", "facet-complement complex (complex JSON out)")
-    add("comp-graph", "comparability graph of the face poset (graph JSON out)")
-
-    p = add("skeleton", "i-skeleton (complex JSON out)")
-    p.add_argument("-i", type=int, required=True, help="skeleton dimension")
-
-    add("nonfaces", "minimal nonfaces (generator-set JSON out)")
-    add("sr-gens", "Stanley-Reisner ideal generator supports")
-    add("facet-gens", "facet ideal generator supports")
-    add("euler", "Euler characteristic (bare integer out)")
-
-    p = sub.add_parser("iso", help="isomorphism test with witness; exit code is the answer")
-    p.add_argument("a", help="path to first complex JSON")
-    p.add_argument("b", help="path to second complex JSON")
-    p.add_argument("-o", "--output", default=None)
-
-    p = add("reconstruct", "rebuild a complex from a comparability graph", graph_input=True)
-    p.add_argument("--report", action="store_true", help="emit the full report JSON")
-
-    p = add("reconstruct-sub", "rebuild a complex from its barycentric subdivision")
-    p.add_argument("--report", action="store_true", help="emit the full report JSON")
-
-    add("check-comparability", "is the graph a face-poset comparability graph", graph_input=True)
-
-    p = sub.add_parser("verify", help="exhaustive theorem verification over small universes")
-    p.add_argument("--max-vertices", type=int, required=True)
-    p.add_argument("--theorem", choices=["2.2", "2.3"], default=None,
-                   help="2.2 = rigidity, 2.3 = equivalences (default: both)")
-    p.add_argument("-o", "--output", default=None)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for arg, text, _ in cmd.inputs:
+            p.add_argument(arg, help=text)
+        for flags, kwargs in ((OUTPUT,) if cmd.inputs else ()) + cmd.options:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
-def _emit_reconstruction(rep, want_report: bool, output: str | None) -> int:
-    if want_report or rep.status != STATUS_OK:
-        _write(jsonio.dumps(jsonio.reconstruction_report_to_obj(rep)), output)
-        return 0 if rep.status == STATUS_OK else 1
-    _write(jsonio.dumps(jsonio.complex_to_obj(rep.complex)), output)
-    return 0
-
-
-def _merge_reports(parts: list[VerificationReport]) -> VerificationReport:
-    merged = VerificationReport(
-        universe_size=sum(p.universe_size for p in parts),
-        pair_checks=sum(p.pair_checks for p in parts),
-    )
-    for p in parts:
-        merged.failures.extend(p.failures)
-        merged.notes.extend(p.notes)
-    return merged
-
-
-def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "subdivide":
-        cx = _read_complex(args.input)
-        if args.k == 1:
-            sub, labeling = barycentric_subdivision(cx)
-            if args.labels:
-                _write(jsonio.dumps(jsonio.labeling_to_obj(labeling)), args.labels)
-        else:
-            if args.labels:
-                raise ValueError("--labels pairs with a single subdivision step")
-            sub = iterated_subdivision(cx, args.k)
-        _write(jsonio.dumps(jsonio.complex_to_obj(sub)), args.output)
-        return 0
-    if cmd == "dual":
-        _write(jsonio.dumps(jsonio.complex_to_obj(alexander_dual(_read_complex(args.input)))), args.output)
-        return 0
-    if cmd == "complement":
-        _write(jsonio.dumps(jsonio.complex_to_obj(complement_complex(_read_complex(args.input)))), args.output)
-        return 0
-    if cmd == "comp-graph":
-        _write(jsonio.dumps(jsonio.graph_to_obj(comparability_graph(_read_complex(args.input)))), args.output)
-        return 0
-    if cmd == "skeleton":
-        _write(jsonio.dumps(jsonio.complex_to_obj(_read_complex(args.input).skeleton(args.i))), args.output)
-        return 0
-    if cmd == "nonfaces":
-        _write(jsonio.dumps(jsonio.generators_to_obj(_read_complex(args.input).minimal_nonfaces())), args.output)
-        return 0
-    if cmd == "sr-gens":
-        _write(jsonio.dumps(jsonio.generators_to_obj(stanley_reisner_generators(_read_complex(args.input)))), args.output)
-        return 0
-    if cmd == "facet-gens":
-        _write(jsonio.dumps(jsonio.generators_to_obj(facet_ideal_generators(_read_complex(args.input)))), args.output)
-        return 0
-    if cmd == "euler":
-        _write(str(_read_complex(args.input).euler_characteristic()), args.output)
-        return 0
-    if cmd == "iso":
-        witness = are_isomorphic(_read_complex(args.a), _read_complex(args.b))
-        obj = {
-            "isomorphic": witness is not None,
-            "map": None if witness is None else list(witness.mapping),
-        }
-        _write(jsonio.dumps(obj), args.output)
-        return 0 if witness is not None else 1
-    if cmd == "reconstruct":
-        rep = reconstruct_from_comparability_graph(_read_graph(args.input))
-        return _emit_reconstruction(rep, args.report, args.output)
-    if cmd == "reconstruct-sub":
-        rep = reconstruct_from_subdivision(_read_complex(args.input))
-        return _emit_reconstruction(rep, args.report, args.output)
-    if cmd == "check-comparability":
-        rep = reconstruct_from_comparability_graph(_read_graph(args.input))
-        obj = {"is_comparability_graph": rep.status == STATUS_OK, "status": rep.status}
-        _write(jsonio.dumps(obj), args.output)
-        return 0 if rep.status == STATUS_OK else 1
-    if cmd == "verify":
-        parts = []
-        if args.theorem in (None, "2.2"):
-            parts.append(verify_subdivision_rigidity(args.max_vertices))
-        if args.theorem in (None, "2.3"):
-            parts.append(verify_equivalences(args.max_vertices))
-        merged = parts[0] if len(parts) == 1 else _merge_reports(parts)
-        _write(jsonio.dumps(jsonio.verification_report_to_obj(merged)), args.output)
-        return 0 if not merged.failures else 1
-    raise ValueError(f"unknown command {cmd!r}")
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, 0 on --help/--version; pass through
         return int(exc.code or 0)
+    cmd = COMMANDS[args.command]
     try:
-        return _dispatch(args)
+        inputs = [read(getattr(args, arg)) for arg, _, read in cmd.inputs]
+        text, code = cmd.run(args, *inputs)
+        _write(text, args.output)
+        return code
     except (BarysubError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(err) + "\n")

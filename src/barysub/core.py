@@ -324,7 +324,7 @@ def _minimal_sets(masks: list[int]) -> list[int]:
 
 
 def _normalize_facets(ground_size: int, facets) -> tuple[VertexSet, ...]:
-    full = (1 << ground_size) - 1
+    full = (1 << ground_size) - 1 if ground_size > 0 else 0
     masks = set()
     for f in facets:
         if isinstance(f, VertexSet):

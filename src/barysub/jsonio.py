@@ -21,17 +21,27 @@ def complex_to_obj(cx: SimplicialComplex) -> dict:
     return obj
 
 
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, a subclass of int; they are not integers here.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def complex_from_obj(obj) -> SimplicialComplex:
     if not isinstance(obj, dict):
         raise ValueError("complex JSON must be an object")
     try:
-        n = int(obj["ground_set"])
+        n = obj["ground_set"]
         facets = obj["facets"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ValueError(f"complex JSON missing or malformed field: {exc}") from exc
+    if not _is_int(n):
+        raise ValueError(f"ground_set {n!r} must be an integer")
     if not isinstance(facets, list):
         raise ValueError("facets must be a list of vertex lists")
-    if obj.get("void"):
+    void = obj.get("void", False)
+    if not isinstance(void, bool):
+        raise ValueError(f"void {void!r} must be true or false")
+    if void:
         if facets:
             raise ValueError("void complex cannot list facets")
         return void_complex(n)
@@ -41,10 +51,10 @@ def complex_from_obj(obj) -> SimplicialComplex:
 def _vertex_list(entries) -> VertexSet:
     if not isinstance(entries, list):
         raise ValueError(f"vertex set {entries!r} must be a list")
-    try:
-        return VertexSet(entries)
-    except TypeError as exc:
-        raise ValueError(f"vertex set {entries!r} holds a non-integer") from exc
+    for v in entries:
+        if not _is_int(v):
+            raise ValueError(f"vertex {v!r} in vertex set {entries!r} must be an integer")
+    return VertexSet(entries)
 
 
 def labeling_to_obj(lab: FaceLabeling) -> dict:
@@ -73,19 +83,19 @@ def graph_from_obj(obj) -> LabeledGraph:
     if not isinstance(edges, list):
         raise ValueError("graph JSON must carry an edge list")
     labels = None
-    if isinstance(vertices, int):
+    if _is_int(vertices):
         count = vertices
     elif isinstance(vertices, list):
         count = len(vertices)
         labels = tuple(_vertex_list(f) for f in vertices)
     else:
-        raise ValueError("vertices must be a count or a list of face labels")
+        raise ValueError(f"vertices {vertices!r} must be a count or a list of face labels")
     pairs = []
     for e in edges:
         if (
             not isinstance(e, list)
             or len(e) != 2
-            or not all(isinstance(v, int) for v in e)
+            or not all(_is_int(v) for v in e)
         ):
             raise ValueError(f"edge {e!r} must be a pair of vertex indices")
         pairs.append((e[0], e[1]))

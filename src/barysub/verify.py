@@ -35,6 +35,8 @@ from .graphs import LabeledGraph, clique_complex, comparability_graph
 from .reconstruct import reconstruct_from_comparability_graph
 
 MAX_UNIVERSE_GROUND = 6
+RIGIDITY_MAX_VERTICES = 5
+EQUIVALENCE_MAX_VERTICES = 4
 
 
 @dataclass
@@ -136,6 +138,11 @@ def graphs_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:
     return graph_canonical_form(a) == graph_canonical_form(b)
 
 
+def _check_cap(n: int, cap: int, harness: str) -> None:
+    if n > cap:
+        raise UniverseTooLarge(f"{harness} harness capped at {cap} vertices")
+
+
 def verify_subdivision_rigidity(n: int) -> VerificationReport:
     """Check that the comparability graph determines the complex, for all of [n].
 
@@ -144,8 +151,7 @@ def verify_subdivision_rigidity(n: int) -> VerificationReport:
     reconstruction round trip, and a relabeled copy must keep an isomorphic
     graph (the positive direction of the biconditional).
     """
-    if n > 5:
-        raise UniverseTooLarge("rigidity harness capped at 5 vertices")
+    _check_cap(n, RIGIDITY_MAX_VERTICES, "rigidity")
     universe = enumerate_complexes(n, up_to_iso=True)
     report = VerificationReport(universe_size=len(universe), pair_checks=0)
     report.notes.append(
@@ -217,8 +223,7 @@ def verify_equivalences(n: int) -> VerificationReport:
     isomorphism: for isomorphic pairs the witness bijection must carry
     minimal nonfaces onto minimal nonfaces and facets onto facets.
     """
-    if n > 4:
-        raise UniverseTooLarge("equivalence harness capped at 4 vertices")
+    _check_cap(n, EQUIVALENCE_MAX_VERTICES, "equivalence")
     universe = enumerate_complexes(n, up_to_iso=True)
     report = VerificationReport(universe_size=len(universe), pair_checks=0)
     report.notes.append(
@@ -280,3 +285,31 @@ def verify_equivalences(n: int) -> VerificationReport:
                     f"not carried onto generators"
                 )
     return report
+
+
+def verify_theorems(n: int, theorem: str | None = None) -> VerificationReport:
+    """Run the 2.2 (rigidity) or 2.3 (equivalence) harness, or both when
+    ``theorem`` is None, and merge their reports in that order.
+
+    The caps of all the chosen harnesses are checked before any of them
+    runs, so a request over a cap fails at once.
+    """
+    if theorem not in (None, "2.2", "2.3"):
+        raise ValueError(f"unknown theorem {theorem!r}")
+    if theorem != "2.3":
+        _check_cap(n, RIGIDITY_MAX_VERTICES, "rigidity")
+    if theorem != "2.2":
+        _check_cap(n, EQUIVALENCE_MAX_VERTICES, "equivalence")
+    if theorem == "2.2":
+        return verify_subdivision_rigidity(n)
+    if theorem == "2.3":
+        return verify_equivalences(n)
+    parts = (verify_subdivision_rigidity(n), verify_equivalences(n))
+    merged = VerificationReport(
+        universe_size=sum(p.universe_size for p in parts),
+        pair_checks=sum(p.pair_checks for p in parts),
+    )
+    for p in parts:
+        merged.failures.extend(p.failures)
+        merged.notes.extend(p.notes)
+    return merged

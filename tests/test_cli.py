@@ -1,13 +1,18 @@
 """End-to-end CLI behavior through in-process main() calls."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from barysub import __version__
+from barysub import __version__, cli
 from barysub.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = Path(__file__).parent / "fixtures"
 COMPLEXES = FIXTURES / "complexes"
 GRAPHS = FIXTURES / "graphs"
@@ -255,3 +260,96 @@ def test_void_complex_round_trips_through_cli(capsys, tmp_path):
     code, _, err = run(capsys, "subdivide", str(src))
     assert code == 2
     assert json.loads(err)["error"] == "VoidComplex"
+
+
+def test_strict_integers_on_the_wire_exit_2(capsys, tmp_path):
+    src = tmp_path / "float.json"
+    src.write_text('{"ground_set": 3, "facets": [[1, 2.5]]}')
+    code, out, err = run(capsys, "dual", str(src))
+    assert code == 2 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "ValueError" and "vertex 2.5" in obj["message"]
+
+
+def test_verify_checks_every_cap_before_any_work(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--max-vertices", "5")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "UniverseTooLarge",
+        "message": "equivalence harness capped at 4 vertices",
+    }
+
+
+def _every_command_on_fixtures(tmp_path) -> list[list[str]]:
+    complexes = [str(p) for p in sorted(COMPLEXES.glob("*.json"))]
+    graphs = [str(p) for p in sorted(GRAPHS.glob("*.json"))]
+    calls = []
+    for c in complexes:
+        calls += [
+            ["subdivide", c], ["subdivide", "-k", "2", c],
+            ["subdivide", "--labels", str(tmp_path / "labels.json"), c],
+            ["dual", c], ["complement", c], ["comp-graph", c], ["skeleton", "-i", "1", c],
+            ["nonfaces", c], ["sr-gens", c], ["facet-gens", c], ["euler", c],
+            ["iso", c, complexes[0]], ["reconstruct-sub", c], ["reconstruct-sub", "--report", c],
+        ]
+    for g in graphs:
+        calls += [["reconstruct", g], ["reconstruct", "--report", g], ["check-comparability", g]]
+    return calls + [["verify", "--max-vertices", "3"], ["verify", "--max-vertices", "5"]]
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    tri = str(COMPLEXES / "triangle_boundary.json")
+    code, twice, _ = run(capsys, "subdivide", "-k", "2", tri)
+    assert code == 0 and len(json.loads(twice)["facets"]) == 12
+    code, once, _ = run(capsys, "subdivide", tri)
+    assert code == 0 and len(json.loads(once)["facets"]) == 6
+    assert run(capsys, "subdivide", "-k", "1", tri) == (0, once, "")
+    code, _, err = run(capsys, "subdivide", "-k", "x", tri)
+    assert code == 2 and "usage" in err
+    code, out, _ = run(capsys, "--version")
+    assert code == 0 and out == f"barysub {__version__}\n"
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "usage: barysub" in out
+    code, _, err = run(capsys, "skeleton", tri)
+    assert code == 2 and "-i" in err
+    calls = _every_command_on_fixtures(tmp_path)
+    first = [run(capsys, *argv) for argv in calls]
+    second = [run(capsys, *argv) for argv in calls]
+    for argv, a, b in zip(calls, first, second):
+        assert a == b, argv
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = "import barysub.cli as c; print(c._parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "0\n"
+
+
+def test_parser_is_built_once_and_build_parser_stays_fresh(capsys, monkeypatch):
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert run(capsys, "euler", str(COMPLEXES / "edge.json")) == (0, "1\n", "")
+    assert builds == [1]
+    assert real() is not real()
+
+
+def test_table_calls_library_operations_through_module_globals(capsys, monkeypatch):
+    calls = []
+    real = cli.alexander_dual
+
+    def counting(cx):
+        calls.append(cx)
+        return real(cx)
+
+    monkeypatch.setattr(cli, "alexander_dual", counting)
+    code, out, _ = run(capsys, "dual", str(COMPLEXES / "disconnected.json"))
+    assert code == 0 and json.loads(out)["facets"] == [[1, 3], [1, 4], [2, 3], [2, 4]]
+    assert len(calls) == 1

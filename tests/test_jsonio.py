@@ -8,6 +8,7 @@ import helpers
 from helpers import cx
 
 from barysub import (
+    EmptyInput,
     GroundSetTooLarge,
     LabeledGraph,
     VertexSet,
@@ -78,6 +79,47 @@ def test_complex_from_obj_rejects_malformed():
             complex_from_obj(bad)
     with pytest.raises(GroundSetTooLarge):
         complex_from_obj({"ground_set": 65, "facets": []})
+
+
+@pytest.mark.parametrize("bad,named", [
+    ({"ground_set": 3, "facets": [[1, 2.5]]}, "vertex 2.5"),
+    ({"ground_set": 3, "facets": [["1"]]}, "vertex '1'"),
+    ({"ground_set": 3, "facets": [[True]]}, "vertex True"),
+    ({"ground_set": 1e3, "facets": []}, "ground_set 1000.0"),
+    ({"ground_set": "3", "facets": []}, "ground_set '3'"),
+    ({"ground_set": True, "facets": [[1]]}, "ground_set True"),
+    ({"ground_set": 3, "facets": [], "void": "no"}, "void 'no'"),
+    ({"ground_set": 3, "facets": [], "void": 1}, "void 1"),
+])
+def test_complex_from_obj_wants_strict_integers(bad, named):
+    with pytest.raises(ValueError, match=named):
+        complex_from_obj(bad)
+
+
+def test_complex_from_obj_negative_ground_set_is_refused_like_zero():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="outside ground set"):
+            complex_from_obj({"ground_set": n, "facets": [[1]]})
+        with pytest.raises(EmptyInput):
+            complex_from_obj({"ground_set": n, "facets": []})
+    assert complex_from_obj({"ground_set": 2, "facets": [], "void": False}) == cx(2)
+
+
+@pytest.mark.parametrize("bad,named", [
+    ({"vertices": 2, "edges": [[False, True]]}, "edge"),
+    ({"vertices": 2, "edges": [[0, 1.0]]}, "edge"),
+    ({"vertices": True, "edges": []}, "vertices True"),
+    ({"vertices": 2.0, "edges": []}, "vertices 2.0"),
+    ({"vertices": [[1], [True]], "edges": []}, "vertex True"),
+])
+def test_graph_from_obj_wants_strict_integers(bad, named):
+    with pytest.raises(ValueError, match=named):
+        graph_from_obj(bad)
+
+
+def test_labeling_from_obj_wants_strict_integers():
+    with pytest.raises(ValueError, match="vertex 1.5"):
+        labeling_from_obj({"vertices": [[1.5]]})
 
 
 def test_labeling_round_trip():

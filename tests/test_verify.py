@@ -19,6 +19,7 @@ from barysub import (
     graphs_isomorphic,
     verify_equivalences,
     verify_subdivision_rigidity,
+    verify_theorems,
 )
 
 
@@ -157,6 +158,22 @@ def test_equivalence_skip_note_only_when_cap_binds():
 def test_equivalences_bound():
     with pytest.raises(UniverseTooLarge):
         verify_equivalences(5)
+
+
+def test_verify_theorems_merges_in_order_and_checks_caps_first():
+    rigidity, equivalences = verify_subdivision_rigidity(3), verify_equivalences(3)
+    assert verify_theorems(3, "2.2") == rigidity
+    assert verify_theorems(3, "2.3") == equivalences
+    both = verify_theorems(3)
+    assert both.universe_size == rigidity.universe_size + equivalences.universe_size
+    assert both.pair_checks == rigidity.pair_checks + equivalences.pair_checks
+    assert both.notes == rigidity.notes + equivalences.notes and both.ok
+    with pytest.raises(UniverseTooLarge, match="equivalence harness capped at 4"):
+        verify_theorems(5)
+    with pytest.raises(UniverseTooLarge, match="rigidity harness capped at 5"):
+        verify_theorems(6)
+    with pytest.raises(ValueError):
+        verify_theorems(3, "2.4")
 
 
 def test_reports_are_deterministic():

@@ -30,6 +30,28 @@ def _mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def mask_components(adj: list[int]) -> list[int]:
+    """Connected components of the graph whose vertex v has neighbour mask adj[v].
+
+    Vertices are 0-based here. Each component is returned as a vertex mask,
+    grown from its least vertex by OR-ing in the neighbour masks of the
+    newly reached vertices; components come in order of least vertex.
+    """
+    comps = []
+    left = (1 << len(adj)) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for v in _mask_elements(frontier):
+                reach |= adj[v - 1]
+            frontier = reach & ~comp
+            comp |= frontier
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
 def _mask_key(mask: int) -> tuple[int, tuple[int, ...]]:
     # Deterministic face order: cardinality, then lex on sorted elements.
     return (mask.bit_count(), _mask_elements(mask))
@@ -252,26 +274,15 @@ class SimplicialComplex:
         keep.extend(f.mask for f in self.facets if len(f) <= limit)
         return complex_from_facets(self.ground_size, [VertexSet.from_mask(m) for m in keep])
 
-    def _vertex_partition(self) -> list[list[int]]:
-        # Union-find over ground positions; every facet is a clique of the
-        # 1-skeleton, so joining within facets gives the skeleton components.
-        parent = list(range(self.ground_size + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+    def _vertex_partition(self) -> list[int]:
+        # Components of the 1-skeleton as vertex masks (bit v-1 is vertex v):
+        # every facet is a clique, so a vertex's neighbours are the union of
+        # the facets holding it.
+        adj = [0] * self.ground_size
         for f in self.facets:
-            els = f.elements
-            r = find(els[0])
-            for e in els[1:]:
-                parent[find(e)] = r
-        groups: dict[int, list[int]] = {}
-        for v in range(1, self.ground_size + 1):
-            groups.setdefault(find(v), []).append(v)
-        return sorted(groups.values())
+            for v in f.elements:
+                adj[v - 1] |= f.mask
+        return mask_components(adj)
 
     def is_connected(self) -> bool:
         """Connectivity of the 1-skeleton on all ground positions."""
@@ -284,21 +295,19 @@ class SimplicialComplex:
         forms its own component (empty, or void when the complex is void).
         """
         out = []
-        for group in self._vertex_partition():
+        for gmask in self._vertex_partition():
+            group = _mask_elements(gmask)
             k = len(group)
             if self.void:
-                out.append(Component(void_complex(k), tuple(group)))
+                out.append(Component(void_complex(k), group))
                 continue
             index = {v: j + 1 for j, v in enumerate(group)}
-            gmask = 0
-            for v in group:
-                gmask |= 1 << (v - 1)
             local = [
                 VertexSet(index[v] for v in f.elements)
                 for f in self.facets
                 if f.mask & ~gmask == 0
             ]
-            out.append(Component(complex_from_facets(k, local), tuple(group)))
+            out.append(Component(complex_from_facets(k, local), group))
         return out
 
 
@@ -332,7 +341,8 @@ def _normalize_facets(ground_size: int, facets) -> tuple[VertexSet, ...]:
         else:
             m = VertexSet(f).mask
         if m & ~full:
-            raise ValueError(f"facet {f!r} outside ground set of size {ground_size}")
+            shown = list(_mask_elements(m))
+            raise ValueError(f"facet {shown} outside ground set of size {ground_size}")
         if m:
             masks.add(m)
     by_size = sorted(masks, key=lambda m: -m.bit_count())

@@ -3,7 +3,9 @@
 Vertices are 0-based integers; edges are sorted (i, j) pairs with i < j.
 Adjacency is kept as one bit mask per vertex, which Python integers make
 size-free, so graphs may exceed the 64-element complex cap; only the ops
-that build complexes enforce it.
+that build complexes enforce it. Maximal cliques, the implication classes
+of the transitive-orientation search (grown by Γ-forcing) and the directed
+triangle filter all work on those masks.
 """
 
 from __future__ import annotations
@@ -11,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import MAX_GROUND, SimplicialComplex, VertexSet, complex_from_facets
+from .core import (
+    MAX_GROUND,
+    SimplicialComplex,
+    VertexSet,
+    _mask_elements,
+    complex_from_facets,
+)
 from .errors import EmptyInput, GroundSetTooLarge, VoidComplex
 
 
@@ -129,11 +137,14 @@ def comparability_graph(cx: SimplicialComplex) -> LabeledGraph:
     if not cx.facets:
         raise EmptyInput("the empty complex has no face poset")
     faces = cx.faces()
-    edges = []
-    for i, j in combinations(range(len(faces)), 2):
-        if faces[i].issubset(faces[j]) or faces[j].issubset(faces[i]):
-            edges.append((i, j))
-    return LabeledGraph(len(faces), tuple(edges), tuple(faces))
+    # (cardinality, lex) order: for i < j only faces[i] can lie in faces[j]
+    masks = [f.mask for f in faces]
+    edges = tuple(
+        (i, j)
+        for i, j in combinations(range(len(masks)), 2)
+        if masks[i] & ~masks[j] == 0
+    )
+    return LabeledGraph(len(faces), edges, tuple(faces))
 
 
 @dataclass(frozen=True)
@@ -175,58 +186,6 @@ class Orientation:
         return Orientation(self.edges, flipped)
 
 
-def _implication_classes(g: LabeledGraph):
-    """Union-find the arcs under the forcing relation.
-
-    Arc 2k is edges[k] oriented min -> max; arc 2k+1 the reverse. Arcs
-    sharing a tail whose heads are non-adjacent force each other, and so do
-    the two reversals. Returns (parent finder, arcs per root) or None when
-    some class contains an edge in both directions (then no transitive
-    orientation exists).
-    """
-    m = g.edge_count
-    adj = _adjacency(g)
-    parent = list(range(2 * m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    for k, (i, j) in enumerate(g.edges):
-        incident[i].append((k, j))
-        incident[j].append((k, i))
-
-    def arc_from(k: int, tail: int) -> int:
-        i, _ = g.edges[k]
-        return 2 * k if tail == i else 2 * k + 1
-
-    for x in range(g.vertex_count):
-        inc = incident[x]
-        for a in range(len(inc)):
-            k1, y = inc[a]
-            for b in range(a + 1, len(inc)):
-                k2, z = inc[b]
-                if not (adj[y] >> z) & 1:
-                    union(arc_from(k1, x), arc_from(k2, x))
-                    union(arc_from(k1, y), arc_from(k2, z))
-
-    for k in range(m):
-        if find(2 * k) == find(2 * k + 1):
-            return None
-    groups: dict[int, list[int]] = {}
-    for a in range(2 * m):
-        groups.setdefault(find(a), []).append(a)
-    return find, groups
-
-
 def transitive_orientations(g: LabeledGraph) -> list[Orientation]:
     """All transitive orientations, sorted by direction bits over the edge list.
 
@@ -235,55 +194,60 @@ def transitive_orientations(g: LabeledGraph) -> list[Orientation]:
     transitivity. The depth-first search emits the sorted order directly:
     it decides the class pairs in first-edge order and tries first the side
     that points each pair's first edge min -> max. Empty result means the
-    graph is not a comparability graph. Intended scale is graphs whose class count is modest (face-poset graphs
-    have very few classes); pathological inputs may still take exponential
-    time in the class count.
+    graph is not a comparability graph. Intended scale is graphs whose
+    class count is modest (face-poset graphs have very few classes);
+    pathological inputs may still take exponential time in the class count.
     """
     m = g.edge_count
     if m == 0:
         return [Orientation((), ())]
-    cls = _implication_classes(g)
-    if cls is None:
-        return []
-    find, groups = cls
-
-    # Pair up each class with its reversal, in first-edge order.
-    pair_index: dict[int, int] = {}
-    pairs: list[tuple[list[int], list[int]]] = []
-    for k in range(m):
-        r = find(2 * k)
-        if r in pair_index or find(2 * k + 1) in pair_index:
-            continue
-        pair_index[r] = len(pairs)
-        pair_index[find(2 * k + 1)] = len(pairs)
-        pairs.append((groups[r], groups[find(2 * k + 1)]))
-
-    pair_of_edge = [pair_index[find(2 * k)] for k in range(m)]
-
     adj = _adjacency(g)
     edge_id = {e: k for k, e in enumerate(g.edges)}
+
+    # Implication classes by Γ-forcing (Golumbic 1980, ch. 5): arc a->b
+    # forces a->c for every c adjacent to a but not to b, and c->b for every
+    # c adjacent to b but not to a. Each class grows from the first edge not
+    # yet in a class, oriented min -> max; that is side 0 of its pair, and
+    # side 1 is the same arcs reversed. A class holding both directions of
+    # one edge leaves no transitive orientation.
+    pair_of_edge = [-1] * m
+    side0_head = [0] * m
+    pairs: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = []
+    for first, (i, j) in enumerate(g.edges):
+        if pair_of_edge[first] >= 0:
+            continue
+        p = len(pairs)
+        pair_of_edge[first] = p
+        side0_head[first] = j
+        grown = [(first, i, j)]
+        for _, a, b in grown:  # grown is extended while it is walked
+            forced = [(a, c - 1) for c in _mask_elements(adj[a] & ~adj[b] & ~(1 << b))]
+            forced += [(c - 1, b) for c in _mask_elements(adj[b] & ~adj[a] & ~(1 << a))]
+            for t, h in forced:
+                k = edge_id[(t, h) if t < h else (h, t)]
+                if pair_of_edge[k] < 0:
+                    pair_of_edge[k] = p
+                    side0_head[k] = h
+                    grown.append((k, t, h))
+                elif side0_head[k] != h:
+                    return []
+        pairs.append(([(k, h) for k, _, h in grown], [(k, t) for k, t, _ in grown]))
+
     triangles: list[list[tuple[int, int, int]]] = [[] for _ in pairs]
-    for (u, v) in g.edges:
-        common = adj[u] & adj[v]
-        w = common >> (v + 1) << (v + 1)  # only w > v, each triangle once
-        while w:
-            low = w & -w
-            t = low.bit_length() - 1
-            k1 = edge_id[(u, v)]
-            k2 = edge_id[(u, t)]
-            k3 = edge_id[(v, t)]
+    for k1, (u, v) in enumerate(g.edges):
+        # only apexes t > v, so each triangle once
+        for t in _mask_elements((adj[u] & adj[v]) >> (v + 1) << (v + 1)):
+            k2 = edge_id[(u, t - 1)]
+            k3 = edge_id[(v, t - 1)]
             due = max(pair_of_edge[k1], pair_of_edge[k2], pair_of_edge[k3])
             triangles[due].append((k1, k2, k3))
-            w ^= low
 
     heads = [-1] * m
     results: list[tuple[int, ...]] = []
 
-    def apply(arcs: list[int]) -> None:
-        for a in arcs:
-            k, rev = divmod(a, 2)
-            i, j = g.edges[k]
-            heads[k] = i if rev else j
+    def apply(arcs: list[tuple[int, int]]) -> None:
+        for k, h in arcs:
+            heads[k] = h
 
     def consistent(due: int) -> bool:
         for k1, k2, k3 in triangles[due]:

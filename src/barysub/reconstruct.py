@@ -9,9 +9,11 @@ were tried and whether more than one of them succeeded (which happens
 exactly for the boundary-of-simplex family, where the poset and its
 reversal both arise from complexes).
 
-Posets live on int bit masks: one mask per element holds the elements above
-it, so transitivity, the source-set images and the face-family check are
-word operations on Python integers, with no cap on the element count.
+Graphs and posets live on int bit masks. The graph splits into components
+by OR-ing adjacency masks (``core.mask_components``), and one mask per poset
+element holds the elements above it, so transitivity, the source-set images
+and the face-family check are word operations on Python integers, with no
+cap on the element count.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ from .core import (
     _mask_elements,
     canonical_form,
     complex_from_facets,
+    mask_components,
 )
 from .errors import EmptyInput, NotAFacePoset, NotTransitive
 from .graphs import (
     LabeledGraph,
     Orientation,
+    _adjacency,
     clique_complex,
     one_skeleton_graph,
     transitive_orientations,
@@ -204,38 +208,6 @@ class ReconstructionReport:
     source_map: tuple[int, ...] | None = None
 
 
-def _graph_components(g: LabeledGraph) -> list[list[int]]:
-    adj = [[] for _ in range(g.vertex_count)]
-    for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * g.vertex_count
-    comps = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _induced(g: LabeledGraph, verts: list[int]) -> LabeledGraph:
-    idx = {v: i for i, v in enumerate(verts)}
-    edges = tuple(
-        sorted((idx[i], idx[j]) for i, j in g.edges if i in idx and j in idx)
-    )
-    return LabeledGraph(len(verts), edges)
-
-
 def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionReport:
     """Recover, up to isomorphism, the complex whose face-poset graph is g.
 
@@ -243,9 +215,9 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     those whose poset is a face poset, and take the disjoint union of the
     first survivor of each component. When a component has two or more
     survivors, their canonical forms must agree (the rigidity self-check);
-    a single survivor needs no canonical form. Fails with "not_orientable" when some component has no
-    transitive orientation and "not_face_poset" when none of a component's
-    orientations is a face poset.
+    a single survivor needs no canonical form. Fails with "not_orientable"
+    when some component has no transitive orientation and "not_face_poset"
+    when none of a component's orientations is a face poset.
     """
     if g.vertex_count == 0:
         raise EmptyInput("graph has no vertices")
@@ -253,8 +225,14 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     any_double = False
     picked: list[tuple[SimplicialComplex, tuple[int, ...]]] = []
     status = STATUS_OK
-    for verts in _graph_components(g):
-        sub = _induced(g, verts)
+    for comp in mask_components(_adjacency(g)):
+        verts = [v - 1 for v in _mask_elements(comp)]
+        index = {v: k for k, v in enumerate(verts)}
+        # a component is closed under edges: its subgraph is its edges re-indexed
+        sub = LabeledGraph(
+            len(verts),
+            tuple((index[i], index[j]) for i, j in g.edges if (comp >> i) & 1),
+        )
         orientations = transitive_orientations(sub)
         tried += len(orientations)
         if not orientations:

@@ -200,6 +200,32 @@ def graph_brute_iso(a: LabeledGraph, b: LabeledGraph) -> bool:
     return False
 
 
+def brute_components(n: int, edges) -> list[list[int]]:
+    """Connected components of a graph on 0..n-1 by breadth-first search.
+
+    Each component is a sorted vertex list; components come in order of
+    their least vertex.
+    """
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        for v in queue:
+            for w in nbrs[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        comps.append(sorted(queue))
+    return comps
+
+
 def random_complex(rng, n: int, max_facets: int | None = None) -> SimplicialComplex:
     """A random complex on [n]; the support may be a proper subset of [n]."""
     k = rng.randint(1, max_facets or max(3, n))

@@ -241,6 +241,17 @@ def test_error_diagnostics(capsys, tmp_path):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_facet_outside_ground_set_is_named_as_a_list(capsys, tmp_path):
+    src = tmp_path / "outside.json"
+    src.write_text('{"ground_set": 2, "facets": [[3]]}')
+    code, out, err = run(capsys, "euler", str(src))
+    assert code == 2 and out == ""
+    assert err == (
+        '{"error": "ValueError", '
+        '"message": "facet [3] outside ground set of size 2"}\n'
+    )
+
+
 def test_version_and_usage(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0

@@ -1,6 +1,7 @@
 """Core complex type, face queries, nonfaces, skeleta, canonical forms."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -23,6 +24,7 @@ from barysub import (
     relabel_complex,
     void_complex,
 )
+from barysub.core import mask_components
 
 
 def test_vertexset_basics():
@@ -206,6 +208,50 @@ def test_connectivity():
     assert not cx(2, (1,), (2,)).is_connected()
     # an uncovered ground vertex is its own component
     assert not cx(2, (1,)).is_connected()
+
+
+def _vertex_mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def test_mask_components_match_breadth_first_search():
+    assert mask_components([]) == []
+    rng = random.Random(113)
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        g = helpers.random_graph(rng, n, rng.choice([0.0, 0.02, 0.05, 0.1, 0.3, 0.9]))
+        adj = [0] * n
+        for i, j in g.edges:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        expected = helpers.brute_components(n, g.edges)
+        assert mask_components(adj) == [_vertex_mask(c) for c in expected], g
+
+
+def test_vertex_partition_matches_breadth_first_search():
+    # the labeled universe through 4, then random complexes whose facets
+    # leave ground vertices uncovered, void and empty complexes
+    rng = random.Random(127)
+    cases = list(helpers.universe_through(4, up_to_iso=False))
+    for _ in range(300):
+        n = rng.randint(1, 20)
+        facets = [
+            rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))
+            for _ in range(rng.randint(0, 5))
+        ]
+        cases.append(complex_from_facets(n, facets))
+    cases += [void_complex(n) for n in (1, 2, 7, 64)]
+    cases += [empty_complex(n) for n in (1, 5)]
+    assert any(not c.has_all_vertices and c.facets for c in cases)
+    for c in cases:
+        edges = {
+            (a - 1, b - 1) for f in c.facets for a, b in combinations(f.elements, 2)
+        }
+        expected = helpers.brute_components(c.ground_size, edges)
+        assert c._vertex_partition() == [_vertex_mask(g) for g in expected], c
+        assert [comp.vertices for comp in c.connected_components()] == [
+            tuple(v + 1 for v in g) for g in expected
+        ], c
 
 
 def test_connected_components_pinned():

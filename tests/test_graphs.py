@@ -239,6 +239,7 @@ def test_orientations_match_brute_force():
         g = helpers.random_graph(rng, rng.randint(2, 8), rng.random())
         if len(g.edges) <= 12:
             cases.append(g)
+    cases += [comparability_graph(c) for c in helpers.universe_through(3)]
     for g in cases:
         got = [o.heads for o in transitive_orientations(g)]
         assert got == helpers.brute_transitive_orientations(g), g

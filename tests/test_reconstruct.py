@@ -298,6 +298,19 @@ def test_reconstruct_disconnected_graphs():
     assert r.status == STATUS_NOT_ORIENTABLE
 
 
+def test_reconstruct_three_interleaved_components():
+    # an edge's face poset P3 on {0, 4, 2}, a hexagon on 1-3-5-7-9-8 and an
+    # isolated point 6: components come in order of least vertex, and each
+    # one's sources map back to the input graph's own vertex numbers
+    edges = [(0, 4), (2, 4), (1, 3), (3, 5), (5, 7), (7, 9), (8, 9), (1, 8)]
+    r = reconstruct_from_comparability_graph(LabeledGraph(10, tuple(sorted(edges))))
+    assert r.status == STATUS_OK
+    assert r.orientations_tried == 2 + 2 + 1
+    assert r.both_orientations_admissible
+    assert r.source_map == (0, 2, 1, 5, 9, 6)
+    assert r.complex == cx(6, (1, 2), (3, 4), (3, 5), (4, 5), (6,))
+
+
 def test_unique_success_recovers_the_labeling():
     # when exactly one orientation survives, its sources are the singleton
     # faces and mapping each ground vertex to its singleton's source index

@@ -201,6 +201,3 @@ def main(argv: list[str] | None = None) -> int:
         err = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(err) + "\n")
         return 2
-
-
-run = main

@@ -4,8 +4,8 @@ Vertices are 0-based integers; edges are sorted (i, j) pairs with i < j.
 Adjacency is kept as one bit mask per vertex, which Python integers make
 size-free, so graphs may exceed the 64-element complex cap; only the ops
 that build complexes enforce it. Maximal cliques, the implication classes
-of the transitive-orientation search (grown by Γ-forcing) and the directed
-triangle filter all work on those masks.
+of the transitive-orientation search (grown by Γ-forcing) and its
+directed-triangle test on arc masks all work on those masks.
 """
 
 from __future__ import annotations
@@ -189,86 +189,79 @@ class Orientation:
 def transitive_orientations(g: LabeledGraph) -> list[Orientation]:
     """All transitive orientations, sorted by direction bits over the edge list.
 
-    Enumerates consistent choices over the arc implication classes and
-    filters directed triangles; together those two constraints are exactly
-    transitivity. The depth-first search emits the sorted order directly:
-    it decides the class pairs in first-edge order and tries first the side
-    that points each pair's first edge min -> max. Empty result means the
-    graph is not a comparability graph. Intended scale is graphs whose
-    class count is modest (face-poset graphs have very few classes);
+    Enumerates consistent choices over the arc implication classes and runs
+    a directed-triangle test on arc masks; together those two constraints
+    are exactly transitivity. The depth-first search emits the sorted order
+    directly: it decides the classes in first-edge order and tries first
+    the side that points each class's first edge min -> max. Empty result
+    means the graph is not a comparability graph. Intended scale is graphs
+    whose class count is modest (face-poset graphs have very few classes);
     pathological inputs may still take exponential time in the class count.
     """
-    m = g.edge_count
-    if m == 0:
-        return [Orientation((), ())]
+    n = g.vertex_count
     adj = _adjacency(g)
     edge_id = {e: k for k, e in enumerate(g.edges)}
 
     # Implication classes by Γ-forcing (Golumbic 1980, ch. 5): arc a->b
     # forces a->c for every c adjacent to a but not to b, and c->b for every
     # c adjacent to b but not to a. Each class grows from the first edge not
-    # yet in a class, oriented min -> max; that is side 0 of its pair, and
-    # side 1 is the same arcs reversed. A class holding both directions of
-    # one edge leaves no transitive orientation.
-    pair_of_edge = [-1] * m
-    side0_head = [0] * m
-    pairs: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = []
-    for first, (i, j) in enumerate(g.edges):
-        if pair_of_edge[first] >= 0:
+    # yet in a class, oriented min -> max; that is its side 0, and side 1 is
+    # the same arcs reversed. fwd[v] and back[v] hold the side-0 heads and
+    # tails at v over all classes so far. They need not be per class: Γ is
+    # symmetric and commutes with reversal, so forcing never reaches an arc
+    # of an earlier class or its reverse, and any hit is the class's own. A
+    # class holding both directions of one edge leaves no orientation.
+    fwd = [0] * n
+    back = [0] * n
+    # sides[p]: class p's arcs as (edge index, tail, head), side 0 then side 1
+    sides: list[tuple[list[tuple[int, int, int]], ...]] = []
+    for i, j in g.edges:
+        if (fwd[i] | back[i]) >> j & 1:
             continue
-        p = len(pairs)
-        pair_of_edge[first] = p
-        side0_head[first] = j
-        grown = [(first, i, j)]
-        for _, a, b in grown:  # grown is extended while it is walked
-            forced = [(a, c - 1) for c in _mask_elements(adj[a] & ~adj[b] & ~(1 << b))]
-            forced += [(c - 1, b) for c in _mask_elements(adj[b] & ~adj[a] & ~(1 << a))]
-            for t, h in forced:
-                k = edge_id[(t, h) if t < h else (h, t)]
-                if pair_of_edge[k] < 0:
-                    pair_of_edge[k] = p
-                    side0_head[k] = h
-                    grown.append((k, t, h))
-                elif side0_head[k] != h:
-                    return []
-        pairs.append(([(k, h) for k, _, h in grown], [(k, t) for k, t, _ in grown]))
+        fwd[i] |= 1 << j
+        back[j] |= 1 << i
+        grown = [(i, j)]
+        for a, b in grown:  # grown is extended while it is walked
+            heads = adj[a] & ~adj[b] & ~(1 << b)
+            tails = adj[b] & ~adj[a] & ~(1 << a)
+            if heads & back[a] or tails & fwd[b]:
+                return []
+            new_heads = heads & ~fwd[a]
+            new_tails = tails & ~back[b]
+            fwd[a] |= new_heads
+            back[b] |= new_tails
+            for c in _mask_elements(new_heads):
+                back[c - 1] |= 1 << a
+                grown.append((a, c - 1))
+            for c in _mask_elements(new_tails):
+                fwd[c - 1] |= 1 << b
+                grown.append((c - 1, b))
+        side = [(edge_id[min(t, h), max(t, h)], t, h) for t, h in grown]
+        sides.append((side, [(k, h, t) for k, t, h in side]))
 
-    triangles: list[list[tuple[int, int, int]]] = [[] for _ in pairs]
-    for k1, (u, v) in enumerate(g.edges):
-        # only apexes t > v, so each triangle once
-        for t in _mask_elements((adj[u] & adj[v]) >> (v + 1) << (v + 1)):
-            k2 = edge_id[(u, t - 1)]
-            k3 = edge_id[(v, t - 1)]
-            due = max(pair_of_edge[k1], pair_of_edge[k2], pair_of_edge[k3])
-            triangles[due].append((k1, k2, k3))
-
-    heads = [-1] * m
+    head_of = [-1] * g.edge_count
+    out = [0] * n
+    into = [0] * n
     results: list[tuple[int, ...]] = []
 
-    def apply(arcs: list[tuple[int, int]]) -> None:
-        for k, h in arcs:
-            heads[k] = h
-
-    def consistent(due: int) -> bool:
-        for k1, k2, k3 in triangles[due]:
-            (u, v) = g.edges[k1]
-            t = g.edges[k2][1] if g.edges[k2][1] != u else g.edges[k2][0]
-            h1, h2, h3 = heads[k1], heads[k2], heads[k3]
-            if h1 == v and h3 == t and h2 == u:
-                return False
-            if h1 == u and h2 == t and h3 == v:
-                return False
-        return True
-
     def solve(p: int) -> None:
-        if p == len(pairs):
-            results.append(tuple(heads))
+        if p == len(sides):
+            results.append(tuple(head_of))
             return
-        for side in (0, 1):
-            apply(pairs[p][side])
-            if consistent(p):
+        for side in sides[p]:
+            for k, t, h in side:
+                head_of[k] = h
+                out[t] |= 1 << h
+                into[h] |= 1 << t
+            # reject the side if a new arc t->h closes a triangle t->h->c->t
+            for _, t, h in side:
+                if out[h] & into[t]:
+                    break
+            else:
                 solve(p + 1)
-        # heads entries are overwritten by the next apply; no undo needed
+            for _, t, h in side:
+                out[t] ^= 1 << h
+                into[h] ^= 1 << t
 
     solve(0)
     return [Orientation(g.edges, hs) for hs in results]

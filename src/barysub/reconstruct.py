@@ -29,7 +29,7 @@ from .core import (
     complex_from_facets,
     mask_components,
 )
-from .errors import EmptyInput, NotAFacePoset, NotTransitive
+from .errors import EmptyInput, GroundSetTooLarge, NotAFacePoset, NotTransitive
 from .graphs import (
     LabeledGraph,
     Orientation,
@@ -217,7 +217,9 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     survivors, their canonical forms must agree (the rigidity self-check);
     a single survivor needs no canonical form. Fails with "not_orientable"
     when some component has no transitive orientation and "not_face_poset"
-    when none of a component's orientations is a face poset.
+    when none of a component's orientations is a face poset. Raises
+    GroundSetTooLarge when every component succeeds but their sources add
+    up to more than the 64-element cap.
     """
     if g.vertex_count == 0:
         raise EmptyInput("graph has no vertices")
@@ -260,6 +262,10 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     if status != STATUS_OK:
         return ReconstructionReport(status, None, tried, False)
     ground = sum(cx.ground_size for cx, _ in picked)
+    if ground > MAX_GROUND:
+        raise GroundSetTooLarge(
+            f"reconstruction needs {ground} vertices, cap is {MAX_GROUND}"
+        )
     facets: list[VertexSet] = []
     source_map: list[int] = []
     offset = 0

@@ -163,6 +163,19 @@ def test_reconstruct_failures_emit_reports(capsys):
     assert json.loads(out)["status"] == "not_face_poset"
 
 
+def test_reconstruct_over_the_ground_cap_exits_2(capsys, tmp_path):
+    # 33 disjoint P3s, each the face poset of an edge: 66 ground vertices
+    edges = [[3 * k + i, 3 * k + 2] for k in range(33) for i in (0, 1)]
+    src = tmp_path / "p3s.json"
+    src.write_text(json.dumps({"vertices": 99, "edges": sorted(edges)}))
+    code, out, err = run(capsys, "reconstruct", str(src))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "GroundSetTooLarge",
+        "message": "reconstruction needs 66 vertices, cap is 64",
+    }
+
+
 def test_reconstruct_sub_not_flag(capsys):
     code, out, _ = run(
         capsys, "reconstruct-sub", str(COMPLEXES / "triangle_boundary.json")

@@ -1,6 +1,7 @@
 """Graphs: clique/independence complexes, comparability graphs, orientations."""
 
 from itertools import combinations
+from math import factorial
 import random
 
 import pytest
@@ -256,6 +257,39 @@ def test_orientations_deterministic_order_and_reversal_closure():
         have = set(bits)
         for o in outs:
             assert o.reverse().direction_bits in have
+
+
+def module_path(m: int, module: LabeledGraph) -> LabeledGraph:
+    """P_m[module]: m copies of module in a row, consecutive copies fully joined."""
+    k = module.vertex_count
+    edges = [(x * k + i, x * k + j) for x in range(m) for i, j in module.edges]
+    edges += [
+        (x * k + i, (x + 1) * k + j) for x in range(m - 1)
+        for i in range(k) for j in range(k)
+    ]
+    return LabeledGraph(m * k, tuple(sorted(edges)))
+
+
+def test_orientation_counts_beyond_the_brute_force_oracle():
+    # known counts: 2^(m+1) for P_m[K2] and P_m[C4], n! for K_n
+    cases = [(helpers.complete_graph(n), factorial(n)) for n in range(1, 8)]
+    for m in range(4, 9):
+        cases.append((module_path(m, helpers.complete_graph(2)), 2 ** (m + 1)))
+        cases.append((module_path(m, helpers.cycle_graph(4)), 2 ** (m + 1)))
+    for g, count in cases:
+        outs = transitive_orientations(g)
+        assert len(outs) == count, g
+        bits = [o.direction_bits for o in outs]
+        assert all(a < b for a, b in zip(bits, bits[1:]))
+        have = set(bits)
+        for o in outs:
+            assert o.reverse().direction_bits in have
+            succ = [0] * g.vertex_count
+            for t, h in o.arcs():
+                succ[t] |= 1 << h
+            # transitive: every successor's successors are successors
+            for t, h in o.arcs():
+                assert succ[h] & ~succ[t] == 0, (g, o)
 
 
 def test_inclusion_orientation_is_transitive():

@@ -12,6 +12,7 @@ import barysub.reconstruct as reconstruct_module
 from barysub import (
     EmptyInput,
     FacePoset,
+    GroundSetTooLarge,
     LabeledGraph,
     NotAFacePoset,
     NotTransitive,
@@ -309,6 +310,24 @@ def test_reconstruct_three_interleaved_components():
     assert r.both_orientations_admissible
     assert r.source_map == (0, 2, 1, 5, 9, 6)
     assert r.complex == cx(6, (1, 2), (3, 4), (3, 5), (4, 5), (6,))
+
+
+def p3_copies(k: int, extra: LabeledGraph = LabeledGraph(0, ())) -> LabeledGraph:
+    """k disjoint copies of P3 (middle vertex 3i+2), then a copy of extra."""
+    edges = [e for i in range(k) for e in ((3 * i, 3 * i + 2), (3 * i + 1, 3 * i + 2))]
+    edges += [(3 * k + i, 3 * k + j) for i, j in extra.edges]
+    return LabeledGraph(3 * k + extra.vertex_count, tuple(sorted(edges)))
+
+
+def test_reconstruction_over_the_ground_cap_raises_ground_set_too_large():
+    r = reconstruct_from_comparability_graph(p3_copies(32))
+    assert r.status == STATUS_OK and r.complex.ground_size == 64
+    with pytest.raises(GroundSetTooLarge, match="needs 66 vertices, cap is 64"):
+        reconstruct_from_comparability_graph(p3_copies(33))
+    # a failing component still reports before the cap is checked
+    for n, status in ((5, STATUS_NOT_ORIENTABLE), (4, STATUS_NOT_FACE_POSET)):
+        r = reconstruct_from_comparability_graph(p3_copies(33, helpers.cycle_graph(n)))
+        assert r.status == status and r.complex is None
 
 
 def test_unique_success_recovers_the_labeling():

@@ -191,19 +191,6 @@ class SimplicialComplex:
     def has_all_vertices(self) -> bool:
         return not self.void and self.support.mask == self.full_mask
 
-    def is_void(self) -> bool:
-        return self.void
-
-    def is_empty_complex(self) -> bool:
-        return not self.void and not self.facets
-
-    def contains_face(self, face: VertexSet) -> bool:
-        if self.void:
-            return False
-        if face.mask == 0:
-            return True
-        return any(face.issubset(f) for f in self.facets)
-
     def _face_masks(self) -> list[int]:
         seen = set()
         for f in self.facets:
@@ -240,9 +227,11 @@ class SimplicialComplex:
 
         A set is a nonface when it lies in no facet, so the minimal nonfaces
         are exactly the minimal transversals of the facet complements.
-        Computed by Berge multiplication: fold the complements in one at a
-        time, keeping the transversal family minimal after each step. Never
-        enumerates the 2^n subsets.
+        Computed by Berge multiplication, folding the complements in one at a
+        time: a minimal transversal t that misses the new edge E grows to
+        t ∪ {b} exactly when b avoids, for every v in t, the intersection of
+        v's private edges (earlier edges meeting t in v alone), so each step
+        emits only minimal transversals. Never enumerates the 2^n subsets.
         """
         n = self.ground_size
         if self.void:
@@ -251,18 +240,36 @@ class SimplicialComplex:
             return [VertexSet((i,)) for i in range(1, n + 1)]
         full = self.full_mask
         hyperedges = sorted((full & ~f.mask for f in self.facets), key=_mask_key)
-        if hyperedges[0] == 0:
-            return []  # some facet is the whole ground set
-        trans = [1 << (b - 1) for b in _mask_elements(hyperedges[0])]
-        for edge in hyperedges[1:]:
+        # holds[u]: bit j set when hyperedges[j] contains vertex u+1
+        holds = [0] * n
+        trans = [0]  # the minimal transversal of no edges
+        for i, edge in enumerate(hyperedges):
+            verts = _mask_elements(edge)
+            grow = [(1 << (b - 1), holds[b - 1]) for b in verts]
             nxt = [t for t in trans if t & edge]
             for t in trans:
                 if t & edge:
                     continue
-                for b in _mask_elements(edge):
-                    nxt.append(t | (1 << (b - 1)))
-            trans = _minimal_sets(nxt)
-        return [VertexSet.from_mask(m) for m in sorted(set(trans), key=_mask_key)]
+                # twice: the earlier edges meeting t in two or more vertices
+                hs = [holds[v - 1] for v in _mask_elements(t)]
+                once = twice = 0
+                for h in hs:
+                    twice |= once & h
+                    once |= h
+                private = [h & ~twice for h in hs]
+                for bit, hb in grow:
+                    for p in private:
+                        if not p & ~hb:
+                            break  # every private edge of some v holds b
+                    else:
+                        nxt.append(t | bit)
+            trans = nxt
+            for b in verts:
+                holds[b - 1] |= 1 << i
+        # No two (t, b) pairs give the same set (t ∪ {b} meets the new edge in
+        # b alone), and none equals a kept t' (t' would then strictly contain
+        # the transversal t), so the family has no duplicates to remove.
+        return [VertexSet.from_mask(m) for m in sorted(trans, key=_mask_key)]
 
     def skeleton(self, i: int) -> "SimplicialComplex":
         """The i-skeleton: all faces of dimension at most i. Requires 0 <= i <= dim."""
@@ -320,16 +327,6 @@ class Component:
 
     complex: SimplicialComplex
     vertices: tuple[int, ...]
-
-
-def _minimal_sets(masks: list[int]) -> list[int]:
-    # Keep only inclusion-minimal masks.
-    uniq = sorted(set(masks), key=lambda m: m.bit_count())
-    kept: list[int] = []
-    for m in uniq:
-        if not any(r & ~m == 0 for r in kept):
-            kept.append(m)
-    return kept
 
 
 def _normalize_facets(ground_size: int, facets) -> tuple[VertexSet, ...]:

@@ -92,7 +92,8 @@ def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
     """The dual complex: facets are ground-complements of the minimal nonfaces.
 
     An involution on complexes over a fixed ground set. The full simplex and
-    the void complex are each other's duals.
+    the void complex are each other's duals. Complements of an antichain are
+    one, so the facets skip ``complex_from_facets``' maximality filter.
     """
     full = cx.full_mask
     duals = [VertexSet.from_mask(full & ~nf.mask) for nf in cx.minimal_nonfaces()]
@@ -100,7 +101,8 @@ def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
         return void_complex(cx.ground_size)
     if duals == [VertexSet.from_mask(0)]:
         return empty_complex(cx.ground_size)
-    return complex_from_facets(cx.ground_size, duals)
+    duals.sort(key=lambda f: f.sort_key)
+    return SimplicialComplex(cx.ground_size, tuple(duals))
 
 
 def complement_complex(cx: SimplicialComplex) -> SimplicialComplex:

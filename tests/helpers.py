@@ -245,6 +245,15 @@ def random_cover_complex(rng, n: int, max_facets: int | None = None) -> Simplici
     return complex_from_facets(n, [list(f.elements) for f in c.facets] + [[v] for v in missing])
 
 
+def overlap_complex(rng, n: int, k: int) -> SimplicialComplex:
+    """k facets on [n], each missing 1-4 random vertices; missing sets may overlap."""
+    facets = []
+    for _ in range(k):
+        miss = set(rng.sample(range(1, n + 1), rng.randint(1, min(4, n))))
+        facets.append([v for v in range(1, n + 1) if v not in miss])
+    return complex_from_facets(n, facets)
+
+
 def random_graph(rng, n: int, p: float) -> LabeledGraph:
     edges = tuple(e for e in combinations(range(n), 2) if rng.random() < p)
     return LabeledGraph(n, edges)

@@ -140,6 +140,13 @@ def test_minimal_nonfaces_against_brute_force():
     cases = list(helpers.universe_through(4))
     for _ in range(60):
         cases.append(helpers.random_complex(rng, rng.randint(1, 10)))
+    # k-subsets of [n]: many facets, many nonfaces
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            cases.append(complex_from_facets(n, combinations(range(1, n + 1), k)))
+    # facets missing overlapping vertex sets
+    for _ in range(60):
+        cases.append(helpers.overlap_complex(rng, rng.randint(1, 12), rng.randint(1, 8)))
     for c in cases:
         got = [frozenset(s.elements) for s in c.minimal_nonfaces()]
         assert got == helpers.brute_minimal_nonfaces(c), c

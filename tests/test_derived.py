@@ -199,9 +199,25 @@ def test_dual_is_involution():
     cases = list(helpers.universe_through(4))
     cases += list(helpers.universe(5))
     cases += [helpers.random_complex(rng, 10) for _ in range(500)]
+    for _ in range(100):
+        cases.append(helpers.overlap_complex(rng, rng.randint(1, 12), rng.randint(1, 8)))
     cases += [void_complex(6), empty_complex(6), full_simplex(6)]
     for c in cases:
-        assert alexander_dual(alexander_dual(c)) == c
+        d = alexander_dual(c)
+        assert alexander_dual(d) == c
+        if d.facets:
+            # built without complex_from_facets' maximality filter, which
+            # must find nothing to drop
+            assert complex_from_facets(c.ground_size, d.facets) == d
+
+
+def test_dual_of_a_complex_with_many_minimal_nonfaces():
+    # 48 vertices, 12 facets missing overlapping sets of 1-4 vertices
+    c = helpers.overlap_complex(random.Random(393), 48, 12)
+    assert len(c.facets) == 12
+    d = alexander_dual(c)
+    assert len(d.facets) == len(c.minimal_nonfaces()) == 10560
+    assert alexander_dual(d) == c
 
 
 def test_complement_pinned_examples():

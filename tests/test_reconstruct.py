@@ -117,6 +117,11 @@ def test_complex_from_face_poset_failure_modes():
     o5 = Orientation(g5.edges, (3, 4, 3, 4, 4))
     with pytest.raises(NotAFacePoset, match="inclusion"):
         complex_from_face_poset(poset_from_orientation(g5, o5))
+    # two sinks whose images nest, {0,1} inside {0,1,2}: the order check
+    # catches them, so the sink images need no separate antichain test
+    nested = FacePoset(range(5), {(0, 3), (1, 3), (0, 4), (1, 4), (2, 4)}, (0, 0, 0, 1, 1))
+    with pytest.raises(NotAFacePoset, match="order does not match down-set inclusion"):
+        complex_from_face_poset(nested)
     # degenerate relation with no minimal elements (built by hand)
     bad = FacePoset((0, 1), frozenset({(0, 1), (1, 0)}), (0, 0))
     with pytest.raises(NotAFacePoset, match="minimal"):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import EmptyInput, GroundSetTooLarge, SkeletonIndexOutOfRange
 
@@ -301,8 +302,11 @@ class SimplicialComplex:
         Ordered by smallest original vertex. A vertex carried by no facet
         forms its own component (empty, or void when the complex is void).
         """
+        parts = self._vertex_partition()
+        if len(parts) == 1:
+            return [Component(self, tuple(range(1, self.ground_size + 1)))]
         out = []
-        for gmask in self._vertex_partition():
+        for gmask in parts:
             group = _mask_elements(gmask)
             k = len(group)
             if self.void:
@@ -344,8 +348,12 @@ def _normalize_facets(ground_size: int, facets) -> tuple[VertexSet, ...]:
             masks.add(m)
     by_size = sorted(masks, key=lambda m: -m.bit_count())
     maximal: list[int] = []
+    larger = 0  # maximal[:larger] are the kept masks larger than m
     for m in by_size:
-        if not any(m | k == k for k in maximal):
+        if maximal and maximal[-1].bit_count() > m.bit_count():
+            larger = len(maximal)
+        # Distinct masks of one size never nest, so only larger ones can absorb m.
+        if not any(m | k == k for k in islice(maximal, larger)):
             maximal.append(m)
     return tuple(VertexSet.from_mask(m) for m in sorted(maximal, key=_mask_key))
 
@@ -462,10 +470,18 @@ def _canonical_connected(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple]
 
     Individualization-refinement: refine an ordered partition of the
     vertices by facet-incidence signatures, branch on the first
-    non-singleton cell, and keep the lexicographically least encoding over
-    all discrete leaves. Returns (labels, encoding) where ``labels[v-1]``
-    is the 0-based canonical position of vertex v and the encoding is the
-    sorted tuple of relabeled facet keys.
+    non-singleton cell, and keep the first leaf, in branching order, whose
+    encoding is lexicographically least. Returns (labels, encoding) where
+    ``labels[v-1]`` is the 0-based canonical position of vertex v and the
+    encoding is the sorted tuple of relabeled facet keys.
+
+    A leaf whose encoding equals the best one gives an automorphism, and
+    the search skips a branch that an automorphism fixing its path carries
+    onto an earlier sibling branch (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014). Such a branch holds the images of an earlier
+    branch's leaves, with the same encodings, and the best leaf is replaced
+    only by a strictly smaller encoding, so the result is the one the full
+    search gives.
     """
     k = cx.ground_size
     fmasks = [f.mask for f in cx.facets]
@@ -511,6 +527,10 @@ def _canonical_connected(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple]
 
     best_enc: list = [None]
     best_labels: list = [None]
+    best_vertex: list[int] = []  # best_vertex[pos]: the vertex the best leaf puts at pos
+    autos: list[list[int]] = []  # automorphisms found, as 0-based image lists
+    path: list[int] = []  # vertices individualized above the current node
+    branch: list[list[int]] = []  # branch[d]: the cell path[d] was chosen from
 
     def encode(cells: list[list[int]]) -> tuple[tuple, list[int]]:
         labels = [0] * k
@@ -522,7 +542,30 @@ def _canonical_connected(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple]
             keys.append((len(els), els))
         return tuple(sorted(keys)), labels
 
-    def descend(cells: list[list[int]]) -> None:
+    def redundant(depth: int) -> bool:
+        # Does an automorphism found so far that fixes path[:depth] carry
+        # path[depth] onto a vertex ahead of it in the cell it was chosen from?
+        fixed = path[:depth]
+        gens = [g for g in autos if all(g[p] == p for p in fixed)]
+        v = path[depth]
+        cell = branch[depth]
+        earlier = set(cell[:cell.index(v)])
+        orbit = {v}
+        todo = [v]
+        for u in todo:
+            for g in gens:
+                w = g[u]
+                if w in earlier:
+                    return True
+                if w not in orbit:
+                    orbit.add(w)
+                    todo.append(w)
+        return False
+
+    def descend(cells: list[list[int]]) -> int:
+        # Returns the depth of the shallowest branch on the current path
+        # found redundant (the search resumes with that branch's next
+        # sibling), or a depth past the path's end when there is none.
         cells = refine(cells)
         target = None
         for i, cell in enumerate(cells):
@@ -534,10 +577,18 @@ def _canonical_connected(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple]
             if best_enc[0] is None or enc < best_enc[0]:
                 best_enc[0] = enc
                 best_labels[0] = labels
-            return
+                best_vertex[:] = [cell[0] for cell in cells]
+            elif enc == best_enc[0]:
+                autos.append([best_vertex[labels[v]] for v in range(k)])
+                for depth in range(len(path)):
+                    if redundant(depth):
+                        return depth
+            return len(path)
         cell = cells[target]
         rest = cells[target + 1:]
         head = cells[:target]
+        depth = len(path)
+        branch.append(cell)
         # Vertices lying in exactly the same facets are swapped by an
         # automorphism fixing everything else, so one representative per
         # incidence class covers all branches of its class.
@@ -547,7 +598,16 @@ def _canonical_connected(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple]
             if key in seen_incidence:
                 continue
             seen_incidence.add(key)
-            descend(head + [[v], [u for u in cell if u != v]] + rest)
+            path.append(v)
+            back = depth if redundant(depth) else descend(
+                head + [[v], [u for u in cell if u != v]] + rest
+            )
+            path.pop()
+            if back < depth:
+                branch.pop()
+                return back
+        branch.pop()
+        return depth
 
     descend(cells)
     return tuple(best_labels[0]), best_enc[0]

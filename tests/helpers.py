@@ -15,9 +15,11 @@ from barysub import (
     NotAFacePoset,
     SimplicialComplex,
     VertexSet,
+    canonical_form,
     complex_from_facets,
     enumerate_complexes,
 )
+from barysub.core import _initial_colors
 
 
 def mask_of(elems) -> int:
@@ -91,6 +93,99 @@ def brute_isomorphic(a: SimplicialComplex, b: SimplicialComplex):
         if {frozenset(perm[v - 1] for v in f) for f in source} == target:
             return perm
     return None
+
+
+def _unpruned_canonical_connected(c: SimplicialComplex):
+    """Individualization-refinement over every leaf, pruning only siblings
+    that lie in exactly the same facets; keeps the first least encoding."""
+    k = c.ground_size
+    members = [tuple(v - 1 for v in f.elements) for f in c.facets]
+    incident: list[list[int]] = [[] for _ in range(k)]
+    for fi, mem in enumerate(members):
+        for v in mem:
+            incident[v].append(fi)
+    init = _initial_colors(k, [f.mask for f in c.facets])
+    cells = [[v for v in range(k) if init[v] == val] for val in sorted(set(init))]
+
+    def refine(cells):
+        while True:
+            color = [0] * k
+            for ci, cell in enumerate(cells):
+                for v in cell:
+                    color[v] = ci
+            fsig = [tuple(sorted(color[v] for v in mem)) for mem in members]
+            new_cells = []
+            for cell in cells:
+                groups: dict = {}
+                for v in cell:
+                    sig = tuple(sorted(fsig[fi] for fi in incident[v]))
+                    groups.setdefault(sig, []).append(v)
+                new_cells.extend(groups[sig] for sig in sorted(groups))
+            if len(new_cells) == len(cells):
+                return new_cells
+            cells = new_cells
+
+    best = []
+
+    def descend(cells):
+        cells = refine(cells)
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if target is None:
+            labels = [0] * k
+            for pos, cell in enumerate(cells):
+                labels[cell[0]] = pos
+            enc = tuple(sorted(
+                (len(mem), tuple(sorted(labels[v] + 1 for v in mem))) for mem in members
+            ))
+            if not best or enc < best[0]:
+                best[:] = [enc, labels]
+            return
+        cell = cells[target]
+        seen = set()
+        for v in cell:
+            key = tuple(incident[v])
+            if key not in seen:
+                seen.add(key)
+                rest = [u for u in cell if u != v]
+                descend(cells[:target] + [[v], rest] + cells[target + 1:])
+
+    descend(cells)
+    return best[1], best[0]
+
+
+def unpruned_canonical(c: SimplicialComplex):
+    """(canonical_form sort key, canonical_labeling mapping) from the search
+    without automorphism pruning, components assembled as the library does."""
+    n = c.ground_size
+    if c.void:
+        return (True, n, ()), tuple(range(1, n + 1))
+    parts = []
+    for comp in c.connected_components():
+        labels, enc = _unpruned_canonical_connected(comp.complex)
+        parts.append((comp.complex.ground_size, enc, comp.vertices, labels))
+    parts.sort(key=lambda t: (t[0], t[1]))
+    labeling = [0] * n
+    keys = []
+    offset = 0
+    for g, enc, orig, labels in parts:
+        for j in range(g):
+            labeling[orig[j] - 1] = offset + labels[j] + 1
+        keys.extend((size, tuple(offset + e for e in els)) for size, els in enc)
+        offset += g
+    return (False, n, tuple(sorted(keys))), tuple(labeling)
+
+
+def canonical_dedupe(n: int) -> list[SimplicialComplex]:
+    """The labelled universe on [n], keeping the first complex of each
+    canonical form."""
+    seen = set()
+    out = []
+    for c in enumerate_complexes(n):
+        key = canonical_form(c).sort_key
+        if key not in seen:
+            seen.add(key)
+            out.append(c)
+    return out
 
 
 def brute_transitive_orientations(g: LabeledGraph) -> list[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """Core complex type, face queries, nonfaces, skeleta, canonical forms."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -25,6 +26,12 @@ from barysub import (
     void_complex,
 )
 from barysub.core import mask_components
+from barysub.derived import barycentric_subdivision
+from barysub.graphs import clique_complex, comparability_graph
+
+# SHA-256 of repr((form.sort_key, labeling.mapping)) for the barycentric
+# subdivision of the 5-simplex, as the unpruned search computes them.
+SD5_DIGEST = "24173dac779c1aaf9c6fcc701d3f533fef7bc08505f73e6b9c630b39ff3b8012"
 
 
 def test_vertexset_basics():
@@ -384,6 +391,70 @@ def test_canonical_labeling_maps_to_form():
         lab = canonical_labeling(c)
         form = canonical_form(c)
         assert relabel_complex(c, lab).facets == form.facets
+
+
+def _complete_1_complex(n: int) -> SimplicialComplex:
+    return complex_from_facets(n, list(combinations(range(1, n + 1), 2)))
+
+
+def _subdivided_simplex(k: int) -> SimplicialComplex:
+    return barycentric_subdivision(full_simplex(k + 1))[0]
+
+
+def _shuffled(rng, c: SimplicialComplex) -> SimplicialComplex:
+    perm = list(range(1, c.ground_size + 1))
+    rng.shuffle(perm)
+    return relabel_complex(c, tuple(perm))
+
+
+def test_pruned_canonical_search_matches_the_unpruned_oracle():
+    rng = random.Random(37)
+    symmetric = [_subdivided_simplex(k) for k in range(5)]
+    symmetric += [
+        complex_from_facets(n, [(i, i % n + 1) for i in range(1, n + 1)]) for n in range(4, 11)
+    ]
+    symmetric.append(cx(6, (1, 2, 3), (4, 5, 6)))  # two triangles: Aut swaps them
+    symmetric.append(complex_from_facets(  # octahedron boundary
+        6, [(a, b, c) for a in (1, 2) for b in (3, 4) for c in (5, 6)]
+    ))
+    # An order-6 Latin square as the triangles (row, 6 + column, 12 + symbol).
+    # Refinement leaves all 18 vertices in one cell and splits them slowly,
+    # while few automorphisms fix a vertex, so pruning with automorphisms
+    # that move the path loses the least leaf here.
+    latin = ("524361", "352146", "231654", "146523", "463215", "615432")
+    symmetric.append(complex_from_facets(18, [
+        (r + 1, c + 7, int(s) + 12) for r, row in enumerate(latin) for c, s in enumerate(row)
+    ]))
+    cases = list(helpers.universe_through(4, False))
+    cases += [clique_complex(comparability_graph(c)) for c in helpers.universe(5)]
+    cases += symmetric + [_shuffled(rng, c) for c in symmetric]
+    cases += [_complete_1_complex(n) for n in range(3, 9)]  # relabeling fixes these
+    cases += [helpers.random_complex(rng, rng.randint(1, 10)) for _ in range(150)]
+    for c in cases:
+        got = (canonical_form(c).sort_key, canonical_labeling(c).mapping)
+        assert got == helpers.unpruned_canonical(c), c
+
+
+def test_canonical_forms_of_highly_symmetric_complexes():
+    # The unpruned search visits about |Aut| leaves on each of these
+    # (9!, 10!, 8! and 6!) and took 10-57 s; every labeling here is the
+    # one that search returns.
+    rng = random.Random(41)
+    for n in (9, 10):
+        k = _complete_1_complex(n)
+        assert canonical_form(k).facets == k.facets
+        assert canonical_labeling(k).mapping == tuple(range(1, n + 1))
+        assert canonical_form(_shuffled(rng, k)) == canonical_form(k)
+    skeleton = complex_from_facets(8, list(combinations(range(1, 9), 3)))
+    assert canonical_form(skeleton).facets == skeleton.facets
+    assert canonical_labeling(skeleton).mapping == tuple(range(1, 9))
+    assert canonical_form(_shuffled(rng, skeleton)) == canonical_form(skeleton)
+    sd5 = _subdivided_simplex(5)
+    form = canonical_form(sd5)
+    pinned = (form.sort_key, canonical_labeling(sd5).mapping)
+    assert hashlib.sha256(repr(pinned).encode()).hexdigest() == SD5_DIGEST
+    for _ in range(2):
+        assert canonical_form(_shuffled(rng, sd5)) == form
 
 
 def test_void_vs_empty_are_distinct():

@@ -218,6 +218,7 @@ def test_dual_of_a_complex_with_many_minimal_nonfaces():
     d = alexander_dual(c)
     assert len(d.facets) == len(c.minimal_nonfaces()) == 10560
     assert alexander_dual(d) == c
+    assert complex_from_facets(48, d.facets) == d
 
 
 def test_complement_pinned_examples():

@@ -68,6 +68,8 @@ def test_up_to_iso_universe_counts():
 
 
 def test_up_to_iso_universe_is_a_transversal():
+    for n in (1, 2, 3, 4, 5):
+        assert list(helpers.universe(n)) == helpers.canonical_dedupe(n)
     for n in (1, 2, 3, 4):
         reps = helpers.universe(n)
         rep_forms = {canonical_form(c).sort_key for c in reps}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 
 from .errors import EmptyInput, GroundSetTooLarge, SkeletonIndexOutOfRange
 
@@ -278,8 +278,13 @@ class SimplicialComplex:
         if i < 0 or i > dim:
             raise SkeletonIndexOutOfRange(f"skeleton index {i} outside 0..{dim}")
         limit = i + 1
-        keep = [m for m in self._face_masks() if m.bit_count() == limit]
-        keep.extend(f.mask for f in self.facets if len(f) <= limit)
+        keep = set()
+        for f in self.facets:
+            if len(f) <= limit:
+                keep.add(f.mask)
+            else:
+                bits = [1 << (v - 1) for v in f.elements]
+                keep.update(sum(c) for c in combinations(bits, limit))
         return complex_from_facets(self.ground_size, [VertexSet.from_mask(m) for m in keep])
 
     def _vertex_partition(self) -> list[int]:

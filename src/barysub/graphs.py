@@ -166,14 +166,6 @@ class Orientation:
             ((i if h == j else j), h) for (i, j), h in zip(self.edges, self.heads)
         ]
 
-    def orients(self, tail: int, head: int) -> bool:
-        e = (tail, head) if tail < head else (head, tail)
-        try:
-            k = self.edges.index(e)
-        except ValueError:
-            return False
-        return self.heads[k] == head
-
     @property
     def direction_bits(self) -> tuple[int, ...]:
         # 0 when the edge points min -> max, 1 otherwise.

@@ -10,10 +10,12 @@ exactly for the boundary-of-simplex family, where the poset and its
 reversal both arise from complexes).
 
 Graphs and posets live on int bit masks. The graph splits into components
-by OR-ing adjacency masks (``core.mask_components``), and one mask per poset
-element holds the elements above it, so transitivity, the source-set images
-and the face-family check are word operations on Python integers, with no
-cap on the element count.
+by OR-ing adjacency masks (``core.mask_components``). A poset is its
+elements and one up-set mask per element, ``FacePoset(elements, up)``, so
+transitivity, the source-set images and the face-family check are word
+operations on Python integers, with no cap on the element count. A poset
+given as a relation is built by ``FacePoset.from_relation``; its relation
+and grades are derived from the masks when read.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .core import (
     SimplicialComplex,
     VertexSet,
     _mask_elements,
+    _mask_key,
     canonical_form,
     complex_from_facets,
     mask_components,
@@ -45,39 +48,45 @@ STATUS_NOT_FACE_POSET = "not_face_poset"
 STATUS_NOT_FLAG = "not_flag"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class FacePoset:
-    """A strict partial order on graph vertices with longest-path grades.
+    """A strict partial order given by its up-sets: ``(elements, up)``.
 
     ``up[k]`` is the bit mask of the positions (in ``elements``) of the
     elements above ``elements[k]``. Build one from an explicit relation with
-    ``FacePoset(elements, relation, grades)``; ``relation`` is derived back
-    from the masks.
+    ``FacePoset.from_relation(elements, relation)``; ``relation`` and
+    ``grades`` are derived from the masks when read.
     """
 
     elements: tuple[int, ...]
     up: tuple[int, ...]
-    grades: tuple[int, ...]
 
-    def __init__(self, elements, relation, grades):
+    @classmethod
+    def from_relation(cls, elements, relation) -> "FacePoset":
+        """The poset on ``elements`` whose pairs (a, b) mean a below b."""
         elements = tuple(elements)
         pos = {v: k for k, v in enumerate(elements)}
         up = [0] * len(elements)
         for a, b in relation:
             up[pos[a]] |= 1 << pos[b]
-        self._init(elements, tuple(up), tuple(grades))
+        return cls(elements, tuple(up))
 
-    def _init(self, elements, up, grades) -> None:
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "grades", grades)
+    @property
+    def grades(self) -> tuple[int, ...]:
+        """Longest-chain lengths below each element, by position.
 
-    @classmethod
-    def from_masks(cls, up: tuple[int, ...], grades: tuple[int, ...]) -> "FacePoset":
-        """The poset on elements 0..len(up)-1 whose up-sets are the masks ``up``."""
-        p = cls.__new__(cls)
-        p._init(tuple(range(len(up))), up, grades)
-        return p
+        In a strict order an element has more elements above it than
+        anything above it has, so descending up-set size is a linear
+        extension along which the lengths are filled in.
+        """
+        up = self.up
+        grade = [0] * len(up)
+        for k in sorted(range(len(up)), key=lambda k: -up[k].bit_count()):
+            step = grade[k] + 1
+            for j in _mask_elements(up[k]):
+                if grade[j - 1] < step:
+                    grade[j - 1] = step
+        return tuple(grade)
 
     @property
     def relation(self) -> frozenset[tuple[int, int]]:
@@ -105,28 +114,19 @@ def poset_from_orientation(g: LabeledGraph, o: Orientation) -> FacePoset:
 
     The order is transitive exactly when ``up[b]`` lies in ``up[a]`` for every
     arc a->b. That also rules out directed cycles: around one, the first
-    vertex would end up above itself. Grades are longest-path lengths, filled
-    in along a linear extension ordered by down-set size.
+    vertex would end up above itself.
     """
     n = g.vertex_count
     up = [0] * n
-    below = [0] * n  # down-set sizes: the arcs are the whole relation
     arcs = o.arcs()
     for tail, head in arcs:
         up[tail] |= 1 << head
-        below[head] += 1
     for tail, head in arcs:
         missing = up[head] & ~up[tail]
         if missing:
             c = (missing & -missing).bit_length() - 1
             raise NotTransitive(f"{tail}->{head}->{c} without {tail}->{c}")
-    grade = [0] * n
-    for v in sorted(range(n), key=below.__getitem__):
-        step = grade[v] + 1
-        for w in _mask_elements(up[v]):
-            if grade[w - 1] < step:
-                grade[w - 1] = step
-    return FacePoset.from_masks(tuple(up), tuple(grade))
+    return FacePoset(tuple(range(n)), tuple(up))
 
 
 def complex_from_face_poset(p: FacePoset) -> tuple[SimplicialComplex, tuple[int, ...]]:
@@ -136,11 +136,11 @@ def complex_from_face_poset(p: FacePoset) -> tuple[SimplicialComplex, tuple[int,
     order; every element maps to the bit mask of sources at or below it.
     The map must be injective and must turn the order into inclusion, which
     makes the sink images an antichain. The images are then the full face
-    family of the complex those sink images generate exactly when every
-    element lies at or below a sink and every image with two or more sources
-    stays an image after deleting any one of them. All checks cost
-    O(elements x 64) mask operations. Returns the complex and the source
-    tuple.
+    family of the complex whose facets are the sink images exactly when
+    every element lies at or below a sink and every image with two or more
+    sources stays an image after deleting any one of them. All checks cost
+    O(elements x 64) mask operations; the complex is built once they pass.
+    Returns the complex and the source tuple.
     """
     up = p.up
     n = len(up)
@@ -171,8 +171,6 @@ def complex_from_face_poset(p: FacePoset) -> tuple[SimplicialComplex, tuple[int,
         if (above ^ up[k]) & ~(1 << k):
             raise NotAFacePoset("order does not match down-set inclusion")
     sinks = [k for k in range(n) if not up[k]]
-    tops = {image[t] for t in sinks}
-    cx = complex_from_facets(len(src), [VertexSet.from_mask(m) for m in tops])
     sink_bits = sum(1 << t for t in sinks)
     for k in range(n):
         m = image[k]
@@ -183,6 +181,8 @@ def complex_from_face_poset(p: FacePoset) -> tuple[SimplicialComplex, tuple[int,
             for i in _mask_elements(m):
                 if m ^ (1 << (i - 1)) not in images:
                     raise NotAFacePoset("down-sets do not form the full face family")
+    tops = sorted((image[t] for t in sinks), key=_mask_key)
+    cx = SimplicialComplex(len(src), tuple(VertexSet.from_mask(m) for m in tops))
     return cx, tuple(p.elements[s] for s in src)
 
 

@@ -34,7 +34,7 @@ from .errors import EmptyInput, GroundSetTooLarge, UniverseTooLarge
 from .graphs import LabeledGraph, clique_complex, comparability_graph
 from .reconstruct import reconstruct_from_comparability_graph
 
-MAX_UNIVERSE_GROUND = 6
+MAX_UNIVERSE_GROUND = 5
 RIGIDITY_MAX_VERTICES = 5
 EQUIVALENCE_MAX_VERTICES = 4
 

@@ -259,6 +259,19 @@ def brute_complex_from_face_poset(p: FacePoset):
     return c, sources
 
 
+def brute_grades(p: FacePoset) -> tuple[int, ...]:
+    """Longest chain below each element, by recursion over ``p.relation``."""
+    below: dict[int, list[int]] = {v: [] for v in p.elements}
+    for a, b in p.relation:
+        below[b].append(a)
+
+    @functools.lru_cache(maxsize=None)
+    def grade(v: int) -> int:
+        return max((grade(a) + 1 for a in below[v]), default=0)
+
+    return tuple(grade(v) for v in p.elements)
+
+
 def chain_count(c: SimplicialComplex) -> int:
     """Saturated singleton-to-facet chains, counted by memoized DFS."""
     n = c.ground_size

@@ -179,6 +179,10 @@ def test_skeleton_pinned():
     tri = cx(3, (1, 2), (1, 3), (2, 3))
     assert facet_sets(tri.skeleton(0)) == {frozenset({1}), frozenset({2}), frozenset({3})}
     assert tri.skeleton(1) == tri
+    # only the output is built: the 2,016 edges, not the 2^64 faces
+    edges = full_simplex(64).skeleton(1)
+    assert len(edges.facets) == 2016
+    assert edges == complex_from_facets(64, combinations(range(1, 65), 2))
 
 
 def test_skeleton_mixed_dimensions():
@@ -187,6 +191,21 @@ def test_skeleton_mixed_dimensions():
     assert facet_sets(sk) == {
         frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}), frozenset({4}),
     }
+    # every index of random complexes: the facets of the i-skeleton are the
+    # faces with i + 1 vertices and the smaller faces that lie in no larger one
+    rng = random.Random(179)
+    for _ in range(2000):
+        c = helpers.random_complex(rng, rng.randint(1, 10))
+        faces = helpers.brute_faces(c)
+        grows = {f - {v} for f in faces for v in f}
+        by_size = [set() for _ in range(c.ground_size + 1)]
+        for f in faces:
+            by_size[len(f)].add(f)
+        for i in range(c.dimension() + 1):
+            sk = c.skeleton(i)
+            assert sk.ground_size == c.ground_size and not sk.void
+            want = by_size[i + 1].union(*(by_size[k] - grows for k in range(1, i + 1)))
+            assert facet_sets(sk) == want, (c, i)
 
 
 def test_skeleton_bounds():

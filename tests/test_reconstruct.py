@@ -79,10 +79,12 @@ def test_poset_rejects_nontransitive_orientation():
 
 def test_poset_grades_are_consistent():
     rng = random.Random(107)
-    for _ in range(40):
-        g = helpers.random_graph(rng, rng.randint(1, 7), rng.random())
+    graphs = [helpers.random_graph(rng, rng.randint(1, 7), rng.random()) for _ in range(40)]
+    graphs += [comparability_graph(c) for c in helpers.universe_through(3)]
+    for g in graphs:
         for o in transitive_orientations(g):
             p = poset_from_orientation(g, o)
+            assert p.grades == helpers.brute_grades(p)
             for a, b in p.relation:
                 assert p.grades[a] < p.grades[b]
             for i, j in g.edges:
@@ -119,11 +121,11 @@ def test_complex_from_face_poset_failure_modes():
         complex_from_face_poset(poset_from_orientation(g5, o5))
     # two sinks whose images nest, {0,1} inside {0,1,2}: the order check
     # catches them, so the sink images need no separate antichain test
-    nested = FacePoset(range(5), {(0, 3), (1, 3), (0, 4), (1, 4), (2, 4)}, (0, 0, 0, 1, 1))
+    nested = FacePoset.from_relation(range(5), {(0, 3), (1, 3), (0, 4), (1, 4), (2, 4)})
     with pytest.raises(NotAFacePoset, match="order does not match down-set inclusion"):
         complex_from_face_poset(nested)
     # degenerate relation with no minimal elements (built by hand)
-    bad = FacePoset((0, 1), frozenset({(0, 1), (1, 0)}), (0, 0))
+    bad = FacePoset.from_relation((0, 1), frozenset({(0, 1), (1, 0)}))
     with pytest.raises(NotAFacePoset, match="minimal"):
         complex_from_face_poset(bad)
 
@@ -156,12 +158,12 @@ def test_face_poset_check_matches_brute_force_on_orientations():
 
 def test_face_poset_check_matches_brute_force_on_hand_built_posets():
     cases = [
-        FacePoset((0, 1), frozenset({(0, 1), (1, 0)}), (0, 0)),  # cyclic
-        FacePoset((0,), frozenset({(0, 0)}), (0,)),
-        FacePoset((5, 2, 9), frozenset(), (0, 0, 0)),  # three isolated points
-        FacePoset((7, 3, 4), frozenset({(7, 4), (3, 4)}), (0, 0, 1)),  # an edge
+        FacePoset.from_relation((0, 1), frozenset({(0, 1), (1, 0)})),  # cyclic
+        FacePoset.from_relation((0,), frozenset({(0, 0)})),
+        FacePoset.from_relation((5, 2, 9), frozenset()),  # three isolated points
+        FacePoset.from_relation((7, 3, 4), frozenset({(7, 4), (3, 4)})),  # an edge
         # an edge whose top carries a self-loop, so it is not a sink
-        FacePoset((0, 1, 2), frozenset({(0, 2), (1, 2), (2, 2)}), (0, 0, 1)),
+        FacePoset.from_relation((0, 1, 2), frozenset({(0, 2), (1, 2), (2, 2)})),
     ]
     # random relations: not necessarily transitive, acyclic or irreflexive
     rng = random.Random(137)
@@ -172,8 +174,9 @@ def test_face_poset_check_matches_brute_force_on_hand_built_posets():
             (a, b) for a in labels for b in labels
             if rng.random() < density and (a != b or rng.random() < 0.2)
         )
-        p = FacePoset(tuple(labels), rel, (0,) * len(labels))
+        p = FacePoset.from_relation(tuple(labels), rel)
         assert p.relation == rel
+        assert FacePoset.from_relation(p.elements, p.relation) == p
         cases.append(p)
     outcomes = set()
     for p in cases:

@@ -82,6 +82,8 @@ def test_enumerate_bounds():
     with pytest.raises(EmptyInput):
         enumerate_complexes(0)
     with pytest.raises(UniverseTooLarge):
+        enumerate_complexes(6)
+    with pytest.raises(UniverseTooLarge):
         enumerate_complexes(7)
 
 

@@ -339,14 +339,14 @@ class Component:
 
 
 def _normalize_facets(ground_size: int, facets) -> tuple[VertexSet, ...]:
-    full = (1 << ground_size) - 1 if ground_size > 0 else 0
     masks = set()
     for f in facets:
         if isinstance(f, VertexSet):
             m = f.mask
         else:
             m = VertexSet(f).mask
-        if m & ~full:
+        # shift, not a full mask: ground_size is not capped yet
+        if m >> max(ground_size, 0):
             shown = list(_mask_elements(m))
             raise ValueError(f"facet {shown} outside ground set of size {ground_size}")
         if m:

@@ -1,11 +1,13 @@
-"""Finite graphs, clique complexes, and transitive orientation enumeration.
+"""Finite graphs, clique complexes, posets, and transitive orientation enumeration.
 
 Vertices are 0-based integers; edges are sorted (i, j) pairs with i < j.
 Adjacency is kept as one bit mask per vertex, which Python integers make
 size-free, so graphs may exceed the 64-element complex cap; only the ops
 that build complexes enforce it. Maximal cliques, the implication classes
 of the transitive-orientation search (grown by Γ-forcing) and its
-directed-triangle test on arc masks all work on those masks.
+directed-triangle test on arc masks all work on those masks. A transitive
+orientation is a strict order, so the search returns each one as a
+``FacePoset``: one up-set mask per vertex, its arc masks at a leaf.
 """
 
 from __future__ import annotations
@@ -178,21 +180,84 @@ class Orientation:
         return Orientation(self.edges, flipped)
 
 
-def transitive_orientations(g: LabeledGraph) -> list[Orientation]:
+@dataclass(frozen=True)
+class FacePoset:
+    """A strict partial order given by its up-sets: ``(elements, up)``.
+
+    ``up[k]`` is the bit mask of the positions (in ``elements``) of the
+    elements above ``elements[k]``. Build one from an explicit relation with
+    ``FacePoset.from_relation(elements, relation)``; ``relation`` and
+    ``grades`` are derived from the masks when read.
+    """
+
+    elements: tuple[int, ...]
+    up: tuple[int, ...]
+
+    @classmethod
+    def from_relation(cls, elements, relation) -> "FacePoset":
+        """The poset on ``elements`` whose pairs (a, b) mean a below b."""
+        elements = tuple(elements)
+        pos = {v: k for k, v in enumerate(elements)}
+        up = [0] * len(elements)
+        for a, b in relation:
+            up[pos[a]] |= 1 << pos[b]
+        return cls(elements, tuple(up))
+
+    @property
+    def grades(self) -> tuple[int, ...]:
+        """Longest-chain lengths below each element, by position.
+
+        In a strict order an element has more elements above it than
+        anything above it has, so descending up-set size is a linear
+        extension along which the lengths are filled in.
+        """
+        up = self.up
+        grade = [0] * len(up)
+        for k in sorted(range(len(up)), key=lambda k: -up[k].bit_count()):
+            step = grade[k] + 1
+            for j in _mask_elements(up[k]):
+                if grade[j - 1] < step:
+                    grade[j - 1] = step
+        return tuple(grade)
+
+    @property
+    def relation(self) -> frozenset[tuple[int, int]]:
+        els = self.elements
+        return frozenset(
+            (a, els[j - 1]) for a, m in zip(els, self.up) for j in _mask_elements(m)
+        )
+
+    def less(self, a: int, b: int) -> bool:
+        els = self.elements
+        return (self.up[els.index(a)] >> els.index(b)) & 1 == 1
+
+    def sources(self) -> tuple[int, ...]:
+        heads = 0
+        for m in self.up:
+            heads |= m
+        return tuple(v for k, v in enumerate(self.elements) if not (heads >> k) & 1)
+
+    def sinks(self) -> tuple[int, ...]:
+        return tuple(v for v, m in zip(self.elements, self.up) if not m)
+
+
+def transitive_orientations(g: LabeledGraph) -> list[FacePoset]:
     """All transitive orientations, sorted by direction bits over the edge list.
 
-    Enumerates consistent choices over the arc implication classes and runs
-    a directed-triangle test on arc masks; together those two constraints
-    are exactly transitivity. The depth-first search emits the sorted order
-    directly: it decides the classes in first-edge order and tries first
-    the side that points each class's first edge min -> max. Empty result
-    means the graph is not a comparability graph. Intended scale is graphs
-    whose class count is modest (face-poset graphs have very few classes);
-    pathological inputs may still take exponential time in the class count.
+    Each is returned as its order, ``FacePoset(tuple(range(n)), up)`` with
+    ``up[v]`` the heads of the arcs leaving v. Enumerates consistent choices
+    over the arc implication classes and runs a directed-triangle test on
+    arc masks; together those two constraints are exactly transitivity, so
+    the arc masks at a leaf need no closure or check. The depth-first search
+    emits the sorted order directly: it decides the classes in first-edge
+    order and tries first the side that points each class's first edge
+    min -> max. Empty result means the graph is not a comparability graph.
+    Intended scale is graphs whose class count is modest (face-poset graphs
+    have very few classes); pathological inputs may still take exponential
+    time in the class count.
     """
     n = g.vertex_count
     adj = _adjacency(g)
-    edge_id = {e: k for k, e in enumerate(g.edges)}
 
     # Implication classes by Γ-forcing (Golumbic 1980, ch. 5): arc a->b
     # forces a->c for every c adjacent to a but not to b, and c->b for every
@@ -205,8 +270,8 @@ def transitive_orientations(g: LabeledGraph) -> list[Orientation]:
     # class holding both directions of one edge leaves no orientation.
     fwd = [0] * n
     back = [0] * n
-    # sides[p]: class p's arcs as (edge index, tail, head), side 0 then side 1
-    sides: list[tuple[list[tuple[int, int, int]], ...]] = []
+    # sides[p]: class p's arcs as (tail, head), side 0 then side 1
+    sides: list[tuple[list[tuple[int, int]], ...]] = []
     for i, j in g.edges:
         if (fwd[i] | back[i]) >> j & 1:
             continue
@@ -228,35 +293,33 @@ def transitive_orientations(g: LabeledGraph) -> list[Orientation]:
             for c in _mask_elements(new_tails):
                 fwd[c - 1] |= 1 << b
                 grown.append((c - 1, b))
-        side = [(edge_id[min(t, h), max(t, h)], t, h) for t, h in grown]
-        sides.append((side, [(k, h, t) for k, t, h in side]))
+        sides.append((grown, [(h, t) for t, h in grown]))
 
-    head_of = [-1] * g.edge_count
+    elements = tuple(range(n))
     out = [0] * n
     into = [0] * n
-    results: list[tuple[int, ...]] = []
+    results: list[FacePoset] = []
 
     def solve(p: int) -> None:
         if p == len(sides):
-            results.append(tuple(head_of))
+            results.append(FacePoset(elements, tuple(out)))
             return
         for side in sides[p]:
-            for k, t, h in side:
-                head_of[k] = h
+            for t, h in side:
                 out[t] |= 1 << h
                 into[h] |= 1 << t
             # reject the side if a new arc t->h closes a triangle t->h->c->t
-            for _, t, h in side:
+            for t, h in side:
                 if out[h] & into[t]:
                     break
             else:
                 solve(p + 1)
-            for _, t, h in side:
+            for t, h in side:
                 out[t] ^= 1 << h
                 into[h] ^= 1 << t
 
     solve(0)
-    return [Orientation(g.edges, hs) for hs in results]
+    return results
 
 
 def is_transitively_orientable(g: LabeledGraph) -> bool:

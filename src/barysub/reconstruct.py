@@ -10,12 +10,10 @@ exactly for the boundary-of-simplex family, where the poset and its
 reversal both arise from complexes).
 
 Graphs and posets live on int bit masks. The graph splits into components
-by OR-ing adjacency masks (``core.mask_components``). A poset is its
-elements and one up-set mask per element, ``FacePoset(elements, up)``, so
-transitivity, the source-set images and the face-family check are word
-operations on Python integers, with no cap on the element count. A poset
-given as a relation is built by ``FacePoset.from_relation``; its relation
-and grades are derived from the masks when read.
+by OR-ing adjacency masks (``core.mask_components``), and the orientation
+search returns each order as a ``FacePoset`` (one up-set mask per element),
+so the source-set images and the face-family check are word operations on
+Python integers, with no cap on the element count.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from .core import (
 )
 from .errors import EmptyInput, GroundSetTooLarge, NotAFacePoset, NotTransitive
 from .graphs import (
+    FacePoset,
     LabeledGraph,
     Orientation,
     _adjacency,
@@ -48,67 +47,6 @@ STATUS_NOT_FACE_POSET = "not_face_poset"
 STATUS_NOT_FLAG = "not_flag"
 
 
-@dataclass(frozen=True)
-class FacePoset:
-    """A strict partial order given by its up-sets: ``(elements, up)``.
-
-    ``up[k]`` is the bit mask of the positions (in ``elements``) of the
-    elements above ``elements[k]``. Build one from an explicit relation with
-    ``FacePoset.from_relation(elements, relation)``; ``relation`` and
-    ``grades`` are derived from the masks when read.
-    """
-
-    elements: tuple[int, ...]
-    up: tuple[int, ...]
-
-    @classmethod
-    def from_relation(cls, elements, relation) -> "FacePoset":
-        """The poset on ``elements`` whose pairs (a, b) mean a below b."""
-        elements = tuple(elements)
-        pos = {v: k for k, v in enumerate(elements)}
-        up = [0] * len(elements)
-        for a, b in relation:
-            up[pos[a]] |= 1 << pos[b]
-        return cls(elements, tuple(up))
-
-    @property
-    def grades(self) -> tuple[int, ...]:
-        """Longest-chain lengths below each element, by position.
-
-        In a strict order an element has more elements above it than
-        anything above it has, so descending up-set size is a linear
-        extension along which the lengths are filled in.
-        """
-        up = self.up
-        grade = [0] * len(up)
-        for k in sorted(range(len(up)), key=lambda k: -up[k].bit_count()):
-            step = grade[k] + 1
-            for j in _mask_elements(up[k]):
-                if grade[j - 1] < step:
-                    grade[j - 1] = step
-        return tuple(grade)
-
-    @property
-    def relation(self) -> frozenset[tuple[int, int]]:
-        els = self.elements
-        return frozenset(
-            (a, els[j - 1]) for a, m in zip(els, self.up) for j in _mask_elements(m)
-        )
-
-    def less(self, a: int, b: int) -> bool:
-        els = self.elements
-        return (self.up[els.index(a)] >> els.index(b)) & 1 == 1
-
-    def sources(self) -> tuple[int, ...]:
-        heads = 0
-        for m in self.up:
-            heads |= m
-        return tuple(v for k, v in enumerate(self.elements) if not (heads >> k) & 1)
-
-    def sinks(self) -> tuple[int, ...]:
-        return tuple(v for v, m in zip(self.elements, self.up) if not m)
-
-
 def poset_from_orientation(g: LabeledGraph, o: Orientation) -> FacePoset:
     """Read an orientation as a strict order; raises NotTransitive if it is not one.
 
@@ -116,17 +54,14 @@ def poset_from_orientation(g: LabeledGraph, o: Orientation) -> FacePoset:
     arc a->b. That also rules out directed cycles: around one, the first
     vertex would end up above itself.
     """
-    n = g.vertex_count
-    up = [0] * n
     arcs = o.arcs()
+    p = FacePoset.from_relation(range(g.vertex_count), arcs)
     for tail, head in arcs:
-        up[tail] |= 1 << head
-    for tail, head in arcs:
-        missing = up[head] & ~up[tail]
+        missing = p.up[head] & ~p.up[tail]
         if missing:
             c = (missing & -missing).bit_length() - 1
             raise NotTransitive(f"{tail}->{head}->{c} without {tail}->{c}")
-    return FacePoset(tuple(range(n)), tuple(up))
+    return p
 
 
 def complex_from_face_poset(p: FacePoset) -> tuple[SimplicialComplex, tuple[int, ...]]:
@@ -233,14 +168,13 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
             len(verts),
             tuple((index[i], index[j]) for i, j in g.edges if (comp >> i) & 1),
         )
-        orientations = transitive_orientations(sub)
-        tried += len(orientations)
-        if not orientations:
+        posets = transitive_orientations(sub)
+        tried += len(posets)
+        if not posets:
             status = STATUS_NOT_ORIENTABLE
             break
         successes: list[tuple[SimplicialComplex, tuple[int, ...]]] = []
-        for o in orientations:
-            poset = poset_from_orientation(sub, o)
+        for poset in posets:
             try:
                 cx, sources = complex_from_face_poset(poset)
             except NotAFacePoset:

@@ -13,6 +13,7 @@ from barysub import (
     FacePoset,
     LabeledGraph,
     NotAFacePoset,
+    Orientation,
     SimplicialComplex,
     VertexSet,
     canonical_form,
@@ -217,6 +218,22 @@ def brute_transitive_orientations(g: LabeledGraph) -> list[tuple[int, ...]]:
             results.append(heads)
     results.sort(key=lambda hs: tuple(0 if h == e[1] else 1 for e, h in zip(g.edges, hs)))
     return results
+
+
+def as_orientation(g: LabeledGraph, p: FacePoset) -> Orientation:
+    """The orientation of g's edges that the poset p on g's vertices gives.
+
+    Reads each edge's direction from ``p.relation``; asserts that every edge
+    is related in exactly one direction and that no pair lies off the edges.
+    """
+    assert p.elements == tuple(range(g.vertex_count)), (g, p)
+    rel = p.relation
+    heads = []
+    for i, j in g.edges:
+        assert ((i, j) in rel) != ((j, i) in rel), (g, p, (i, j))
+        heads.append(j if (i, j) in rel else i)
+    assert len(rel) == len(g.edges), (g, p)
+    return Orientation(g.edges, tuple(heads))
 
 
 def brute_complex_from_face_poset(p: FacePoset):

@@ -106,10 +106,9 @@ def test_criterion_4_hexagon_reconstruction(capsys):
         assert are_isomorphic(report.complex, triangle)
         orientations = transitive_orientations(hexagon)
         assert len(orientations) == 2
-        rebuilt = [
-            complex_from_face_poset(poset_from_orientation(hexagon, o))[0]
-            for o in orientations
-        ]
+        for p in orientations:
+            assert poset_from_orientation(hexagon, helpers.as_orientation(hexagon, p)) == p
+        rebuilt = [complex_from_face_poset(p)[0] for p in orientations]
         assert are_isomorphic(rebuilt[0], rebuilt[1])
         assert report.both_orientations_admissible
         out["detail"] = " (both orientations succeed, results isomorphic)"

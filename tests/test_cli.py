@@ -265,6 +265,19 @@ def test_facet_outside_ground_set_is_named_as_a_list(capsys, tmp_path):
     )
 
 
+def test_oversized_ground_set_exits_2(capsys, tmp_path):
+    src = tmp_path / "huge.json"
+    for ground, facets in [(10**20, [[1]]), (4_000_000_000, [])]:
+        src.write_text(json.dumps({"ground_set": ground, "facets": facets}))
+        for op in ("euler", "dual"):
+            code, out, err = run(capsys, op, str(src))
+            assert code == 2 and out == ""
+            assert json.loads(err) == {
+                "error": "GroundSetTooLarge",
+                "message": f"ground set size {ground} exceeds 64",
+            }
+
+
 def test_version_and_usage(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -75,6 +76,29 @@ def test_constructor_rejects_bad_ground():
         complex_from_facets(65, [])
     with pytest.raises(ValueError):
         complex_from_facets(2, [[3]])
+    for n, facets, error, message in [
+        (0, [[1]], ValueError, "facet [1] outside ground set of size 0"),
+        (-3, [[1]], ValueError, "facet [1] outside ground set of size -3"),
+        (65, [[65]], ValueError, "vertex 65 outside 1..64"),
+        (-1, [], EmptyInput, "ground set must have at least one element"),
+    ]:
+        with pytest.raises(error) as info:
+            complex_from_facets(n, facets)
+        assert str(info.value) == message
+
+
+def test_oversized_ground_set_is_refused_without_building_its_mask():
+    # a full mask over 4e9 positions alone would take about 500 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroundSetTooLarge):
+            complex_from_facets(4_000_000_000, [])
+        with pytest.raises(GroundSetTooLarge):
+            complex_from_facets(10**20, [[1]])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_facet_antichain_invariant():

@@ -26,6 +26,7 @@ from barysub import (
     independence_complex,
     is_transitively_orientable,
     one_skeleton_graph,
+    poset_from_orientation,
     transitive_orientations,
     void_complex,
 )
@@ -192,12 +193,12 @@ def test_transitive_orientation_counts_pinned():
 def test_edgeless_graphs_have_one_empty_orientation():
     g = LabeledGraph(3, ())
     outs = transitive_orientations(g)
-    assert len(outs) == 1 and outs[0].heads == ()
+    assert len(outs) == 1 and helpers.as_orientation(g, outs[0]).heads == ()
 
 
 def test_hexagon_orientations_alternate():
     hexa = helpers.cycle_graph(6)
-    outs = transitive_orientations(hexa)
+    outs = [helpers.as_orientation(hexa, p) for p in transitive_orientations(hexa)]
     assert len(outs) == 2
     for o in outs:
         indeg = [0] * 6
@@ -215,7 +216,8 @@ def test_orientations_are_transitive_by_definition():
     rng = random.Random(97)
     for _ in range(80):
         g = helpers.random_graph(rng, rng.randint(1, 8), rng.random())
-        for o in transitive_orientations(g):
+        for p in transitive_orientations(g):
+            o = helpers.as_orientation(g, p)
             arcs = set(o.arcs())
             for (a, b) in arcs:
                 for (bb, c) in arcs:
@@ -240,15 +242,25 @@ def test_orientations_match_brute_force():
             cases.append(g)
     cases += [comparability_graph(c) for c in helpers.universe_through(3)]
     for g in cases:
-        got = [o.heads for o in transitive_orientations(g)]
+        posets = transitive_orientations(g)
+        got = [helpers.as_orientation(g, p).heads for p in posets]
         assert got == helpers.brute_transitive_orientations(g), g
+        _assert_posets_match_their_orientations(g, posets)
+
+
+def _assert_posets_match_their_orientations(g, posets):
+    # each returned poset is the order its orientation reads as, graded
+    # as the brute-force longest-chain recursion grades it
+    for p in posets:
+        assert poset_from_orientation(g, helpers.as_orientation(g, p)) == p, (g, p)
+        assert p.grades == helpers.brute_grades(p), (g, p)
 
 
 def test_orientations_deterministic_order_and_reversal_closure():
     rng = random.Random(103)
     for _ in range(40):
         g = helpers.random_graph(rng, rng.randint(2, 7), 0.6)
-        outs = transitive_orientations(g)
+        outs = [helpers.as_orientation(g, p) for p in transitive_orientations(g)]
         bits = [o.direction_bits for o in outs]
         assert bits == sorted(bits)
         assert len(set(bits)) == len(bits)
@@ -275,7 +287,9 @@ def test_orientation_counts_beyond_the_brute_force_oracle():
         cases.append((module_path(m, helpers.complete_graph(2)), 2 ** (m + 1)))
         cases.append((module_path(m, helpers.cycle_graph(4)), 2 ** (m + 1)))
     for g, count in cases:
-        outs = transitive_orientations(g)
+        posets = transitive_orientations(g)
+        _assert_posets_match_their_orientations(g, posets)
+        outs = [helpers.as_orientation(g, p) for p in posets]
         assert len(outs) == count, g
         bits = [o.direction_bits for o in outs]
         assert all(a < b for a, b in zip(bits, bits[1:]))

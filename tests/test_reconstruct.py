@@ -53,8 +53,8 @@ def test_poset_from_path_orientation():
 
 def test_poset_from_hexagon_orientation():
     hexa = helpers.cycle_graph(6)
-    for o in transitive_orientations(hexa):
-        p = poset_from_orientation(hexa, o)
+    for p in transitive_orientations(hexa):
+        assert poset_from_orientation(hexa, helpers.as_orientation(hexa, p)) == p
         assert sorted(set(p.grades)) == [0, 1]
         assert len(p.sources()) == 3
         assert len(p.sinks()) == 3
@@ -82,8 +82,8 @@ def test_poset_grades_are_consistent():
     graphs = [helpers.random_graph(rng, rng.randint(1, 7), rng.random()) for _ in range(40)]
     graphs += [comparability_graph(c) for c in helpers.universe_through(3)]
     for g in graphs:
-        for o in transitive_orientations(g):
-            p = poset_from_orientation(g, o)
+        for p in transitive_orientations(g):
+            assert poset_from_orientation(g, helpers.as_orientation(g, p)) == p
             assert p.grades == helpers.brute_grades(p)
             for a, b in p.relation:
                 assert p.grades[a] < p.grades[b]
@@ -106,9 +106,10 @@ def test_complex_from_face_poset_failure_modes():
         complex_from_face_poset(poset_from_orientation(k3, chain))
     # C4 oriented with both sinks above both sources: sinks collide
     c4 = helpers.cycle_graph(4)
-    for o in transitive_orientations(c4):
+    for p in transitive_orientations(c4):
+        assert poset_from_orientation(c4, helpers.as_orientation(c4, p)) == p
         with pytest.raises(NotAFacePoset, match="injective"):
-            complex_from_face_poset(poset_from_orientation(c4, o))
+            complex_from_face_poset(p)
     # the star K_{1,3} with a universal sink misses the pair faces
     star = LabeledGraph(4, ((0, 3), (1, 3), (2, 3)))
     up = Orientation(star.edges, (3, 3, 3))
@@ -147,13 +148,15 @@ def test_face_poset_check_matches_brute_force_on_orientations():
     # every orientation of every face-poset graph, then of random graphs
     for c in helpers.universe_through(4):
         g = comparability_graph(c)
-        for o in transitive_orientations(g):
-            _assert_face_poset_check_matches_brute_force(poset_from_orientation(g, o))
+        for p in transitive_orientations(g):
+            assert poset_from_orientation(g, helpers.as_orientation(g, p)) == p
+            _assert_face_poset_check_matches_brute_force(p)
     rng = random.Random(131)
     for _ in range(300):
         g = helpers.random_graph(rng, rng.randint(1, 6), rng.random())
-        for o in transitive_orientations(g):
-            _assert_face_poset_check_matches_brute_force(poset_from_orientation(g, o))
+        for p in transitive_orientations(g):
+            assert poset_from_orientation(g, helpers.as_orientation(g, p)) == p
+            _assert_face_poset_check_matches_brute_force(p)
 
 
 def test_face_poset_check_matches_brute_force_on_hand_built_posets():

@@ -201,3 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         err = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(err) + "\n")
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -38,15 +38,23 @@ def mask_components(adj: list[int]) -> list[int]:
     grown from its least vertex by OR-ing in the neighbour masks of the
     newly reached vertices; components come in order of least vertex.
     """
+    return induced_components(adj, (1 << len(adj)) - 1)
+
+
+def induced_components(adj: list[int], left: int) -> list[int]:
+    """``mask_components`` of the subgraph induced on the vertex mask ``left``.
+
+    Neighbour masks may reach outside ``left`` (or be negative, as the
+    complement masks ``~adj[v]`` are); only their bits inside it count.
+    """
     comps = []
-    left = (1 << len(adj)) - 1
     while left:
         comp = frontier = left & -left
         while frontier:
             reach = 0
             for v in _mask_elements(frontier):
                 reach |= adj[v - 1]
-            frontier = reach & ~comp
+            frontier = reach & left & ~comp
             comp |= frontier
         comps.append(comp)
         left &= ~comp

@@ -6,7 +6,8 @@ class BarysubError(Exception):
 
 
 class GroundSetTooLarge(BarysubError):
-    """Ground set would exceed the 64-element representation cap."""
+    """Ground set would exceed the 64-element representation cap, or a graph
+    read from JSON the vertex cap ``jsonio.MAX_GRAPH_VERTICES``."""
 
 
 class EmptyInput(BarysubError):

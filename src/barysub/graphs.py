@@ -7,13 +7,18 @@ that build complexes enforce it. Maximal cliques, the implication classes
 of the transitive-orientation search (grown by Γ-forcing) and its
 directed-triangle test on arc masks all work on those masks. A transitive
 orientation is a strict order, so the search returns each one as a
-``FacePoset``: one up-set mask per vertex, its arc masks at a leaf.
+``FacePoset``: one up-set mask per vertex, its arc masks at a leaf. The
+same class phase alone decides orientability, and the number of
+orientations is Gallai's product over the modular decomposition, whose
+components, co-components and prime-node modules (by partition refinement)
+are found on the same masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import factorial
 
 from .core import (
     MAX_GROUND,
@@ -21,6 +26,7 @@ from .core import (
     VertexSet,
     _mask_elements,
     complex_from_facets,
+    induced_components,
 )
 from .errors import EmptyInput, GroundSetTooLarge, VoidComplex
 
@@ -241,6 +247,49 @@ class FacePoset:
         return tuple(v for v, m in zip(self.elements, self.up) if not m)
 
 
+def _implication_classes(g: LabeledGraph, adj: list[int]) -> list[list[tuple[int, int]]] | None:
+    """The arc implication classes of g, each as its side-0 arcs (tail, head).
+
+    None when some class holds both directions of an edge, which happens
+    exactly when g is not a comparability graph (Golumbic 1980, ch. 5).
+    """
+    n = g.vertex_count
+    # Implication classes by Γ-forcing: arc a->b forces a->c for every c
+    # adjacent to a but not to b, and c->b for every c adjacent to b but not
+    # to a. Each class grows from the first edge not yet in a class,
+    # oriented min -> max; that is its side 0, and side 1 is the same arcs
+    # reversed. fwd[v] and back[v] hold the side-0 heads and tails at v over
+    # all classes so far. They need not be per class: Γ is symmetric and
+    # commutes with reversal, so forcing never reaches an arc of an earlier
+    # class or its reverse, and any hit is the class's own.
+    fwd = [0] * n
+    back = [0] * n
+    classes: list[list[tuple[int, int]]] = []
+    for i, j in g.edges:
+        if (fwd[i] | back[i]) >> j & 1:
+            continue
+        fwd[i] |= 1 << j
+        back[j] |= 1 << i
+        grown = [(i, j)]
+        for a, b in grown:  # grown is extended while it is walked
+            heads = adj[a] & ~adj[b] & ~(1 << b)
+            tails = adj[b] & ~adj[a] & ~(1 << a)
+            if heads & back[a] or tails & fwd[b]:
+                return None
+            new_heads = heads & ~fwd[a]
+            new_tails = tails & ~back[b]
+            fwd[a] |= new_heads
+            back[b] |= new_tails
+            for c in _mask_elements(new_heads):
+                back[c - 1] |= 1 << a
+                grown.append((a, c - 1))
+            for c in _mask_elements(new_tails):
+                fwd[c - 1] |= 1 << b
+                grown.append((c - 1, b))
+        classes.append(grown)
+    return classes
+
+
 def transitive_orientations(g: LabeledGraph) -> list[FacePoset]:
     """All transitive orientations, sorted by direction bits over the edge list.
 
@@ -254,46 +303,15 @@ def transitive_orientations(g: LabeledGraph) -> list[FacePoset]:
     min -> max. Empty result means the graph is not a comparability graph.
     Intended scale is graphs whose class count is modest (face-poset graphs
     have very few classes); pathological inputs may still take exponential
-    time in the class count.
+    time in the class count. ``count_transitive_orientations`` gives the
+    length of the result without the search.
     """
     n = g.vertex_count
-    adj = _adjacency(g)
-
-    # Implication classes by Γ-forcing (Golumbic 1980, ch. 5): arc a->b
-    # forces a->c for every c adjacent to a but not to b, and c->b for every
-    # c adjacent to b but not to a. Each class grows from the first edge not
-    # yet in a class, oriented min -> max; that is its side 0, and side 1 is
-    # the same arcs reversed. fwd[v] and back[v] hold the side-0 heads and
-    # tails at v over all classes so far. They need not be per class: Γ is
-    # symmetric and commutes with reversal, so forcing never reaches an arc
-    # of an earlier class or its reverse, and any hit is the class's own. A
-    # class holding both directions of one edge leaves no orientation.
-    fwd = [0] * n
-    back = [0] * n
+    classes = _implication_classes(g, _adjacency(g))
+    if classes is None:
+        return []
     # sides[p]: class p's arcs as (tail, head), side 0 then side 1
-    sides: list[tuple[list[tuple[int, int]], ...]] = []
-    for i, j in g.edges:
-        if (fwd[i] | back[i]) >> j & 1:
-            continue
-        fwd[i] |= 1 << j
-        back[j] |= 1 << i
-        grown = [(i, j)]
-        for a, b in grown:  # grown is extended while it is walked
-            heads = adj[a] & ~adj[b] & ~(1 << b)
-            tails = adj[b] & ~adj[a] & ~(1 << a)
-            if heads & back[a] or tails & fwd[b]:
-                return []
-            new_heads = heads & ~fwd[a]
-            new_tails = tails & ~back[b]
-            fwd[a] |= new_heads
-            back[b] |= new_tails
-            for c in _mask_elements(new_heads):
-                back[c - 1] |= 1 << a
-                grown.append((a, c - 1))
-            for c in _mask_elements(new_tails):
-                fwd[c - 1] |= 1 << b
-                grown.append((c - 1, b))
-        sides.append((grown, [(h, t) for t, h in grown]))
+    sides = [(grown, [(h, t) for t, h in grown]) for grown in classes]
 
     elements = tuple(range(n))
     out = [0] * n
@@ -323,7 +341,85 @@ def transitive_orientations(g: LabeledGraph) -> list[FacePoset]:
 
 
 def is_transitively_orientable(g: LabeledGraph) -> bool:
-    return len(transitive_orientations(g)) > 0
+    """Whether g is a comparability graph, decided by the implication classes alone."""
+    return _implication_classes(g, _adjacency(g)) is not None
+
+
+def count_transitive_orientations(g: LabeledGraph) -> int:
+    """``len(transitive_orientations(g))``, computed without enumerating them.
+
+    0 when the implication classes show g is not a comparability graph.
+    Otherwise Gallai's product over the modular decomposition (Gallai 1967;
+    McConnell & Spinrad 1999): a node whose graph is disconnected
+    (parallel) contributes 1, a node whose complement is disconnected
+    (series) with k children contributes k!, and any other (prime) node
+    contributes 2, the two orientations of its quotient. The tree is walked
+    with an explicit stack of vertex masks, so its depth costs no recursion.
+    """
+    adj = _adjacency(g)
+    if _implication_classes(g, adj) is None:
+        return 0
+    co = [~a for a in adj]
+    count = 1
+    todo = [(1 << g.vertex_count) - 1]
+    while todo:
+        s = todo.pop()
+        if s & (s - 1) == 0:
+            continue
+        children = induced_components(adj, s)
+        if len(children) == 1:
+            children = induced_components(co, s)
+            if len(children) > 1:
+                count *= factorial(len(children))
+            else:
+                count *= 2
+                children = _prime_children(adj, s)
+        todo.extend(children)
+    return count
+
+
+def _prime_children(adj: list[int], s: int) -> list[int]:
+    """The maximal strong modules of a prime node s, as vertex masks.
+
+    Partition refinement from the least vertex v of s gives the maximal
+    modules of G[s] that avoid v: a part splits on any vertex of s outside
+    it that sees some but not all of it, until no part splits. Each of
+    those modules lies inside v's maximal strong module M or misses it. As
+    s is prime, the least module holding v and a vertex x is all of s
+    exactly when x is outside M, so one closure per part decides which
+    parts make up M with v.
+    """
+    low = s & -s
+    v = low.bit_length() - 1
+    parts = []
+    todo = [s ^ low]
+    while todo:
+        x = todo.pop()
+        first = adj[(x & -x).bit_length() - 1]
+        seen = 0
+        for m in _mask_elements(x):
+            seen |= adj[m - 1] ^ first
+        split = seen & s & ~x
+        if split:
+            y = adj[(split & -split).bit_length() - 1]
+            todo += (x & y, x & ~y)
+        else:
+            parts.append(x)
+    home = low
+    av = adj[v]
+    for x in parts:
+        # least module holding v and x's least vertex: add every vertex of s
+        # that tells some member apart from v, until none is left
+        rep = x & -x
+        module = low | rep
+        grow = (adj[rep.bit_length() - 1] ^ av) & s & ~module
+        while grow:
+            bit = grow & -grow
+            module |= bit
+            grow = (grow | adj[bit.bit_length() - 1] ^ av) & s & ~module
+        if module != s:
+            home |= x
+    return [home] + [x for x in parts if not x & home]
 
 
 def inclusion_orientation(g: LabeledGraph) -> Orientation:

@@ -14,6 +14,14 @@ by OR-ing adjacency masks (``core.mask_components``), and the orientation
 search returns each order as a ``FacePoset`` (one up-set mask per element),
 so the source-set images and the face-family check are word operations on
 Python integers, with no cap on the element count.
+
+A component with true twins (two vertices with the same closed
+neighbourhood) is refused before any orientation is enumerated. No face
+poset has them: for faces a ⊊ b, a vertex w of b outside a gives the face
+{w}, comparable to b but not to a; incomparable faces are not adjacent. So
+every orientation of such a component fails the face-poset check, and
+their number comes from the modular decomposition
+(``graphs.count_transitive_orientations``) instead of the search.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .graphs import (
     Orientation,
     _adjacency,
     clique_complex,
+    count_transitive_orientations,
     one_skeleton_graph,
     transitive_orientations,
 )
@@ -128,7 +137,10 @@ class ReconstructionReport:
     ``status`` is "ok", "not_orientable", "not_face_poset" or "not_flag";
     ``complex`` is the recovered complex when ok, else None;
     ``orientations_tried`` counts the transitive orientations examined over
-    all components; ``both_orientations_admissible`` says whether some
+    all components. For a component refused for true twins the orientations
+    are counted by the modular decomposition, not enumerated; the number is
+    the same, since each of them would fail the face-poset check.
+    ``both_orientations_admissible`` says whether some
     component admitted at least two successful orientations.
     ``source_map[i-1]`` is the input-graph vertex that became ground
     vertex i.
@@ -146,13 +158,14 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
 
     Works per connected component: enumerate transitive orientations, keep
     those whose poset is a face poset, and take the disjoint union of the
-    first survivor of each component. When a component has two or more
-    survivors, their canonical forms must agree (the rigidity self-check);
-    a single survivor needs no canonical form. Fails with "not_orientable"
-    when some component has no transitive orientation and "not_face_poset"
-    when none of a component's orientations is a face poset. Raises
-    GroundSetTooLarge when every component succeeds but their sources add
-    up to more than the 64-element cap.
+    first survivor of each component. A component with true twins has no
+    survivor, so it is refused at once with its orientation count. When a
+    component has two or more survivors, their canonical forms must agree
+    (the rigidity self-check); a single survivor needs no canonical form.
+    Fails with "not_orientable" when some component has no transitive
+    orientation and "not_face_poset" when none of a component's orientations
+    is a face poset. Raises GroundSetTooLarge when every component succeeds
+    but their sources add up to more than the 64-element cap.
     """
     if g.vertex_count == 0:
         raise EmptyInput("graph has no vertices")
@@ -160,7 +173,8 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     any_double = False
     picked: list[tuple[SimplicialComplex, tuple[int, ...]]] = []
     status = STATUS_OK
-    for comp in mask_components(_adjacency(g)):
+    adj = _adjacency(g)
+    for comp in mask_components(adj):
         verts = [v - 1 for v in _mask_elements(comp)]
         index = {v: k for k, v in enumerate(verts)}
         # a component is closed under edges: its subgraph is its edges re-indexed
@@ -168,6 +182,12 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
             len(verts),
             tuple((index[i], index[j]) for i, j in g.edges if (comp >> i) & 1),
         )
+        if len({adj[v] | 1 << v for v in verts}) < len(verts):
+            # true twins: no face poset has them, so every orientation fails
+            k = count_transitive_orientations(sub)
+            tried += k
+            status = STATUS_NOT_FACE_POSET if k else STATUS_NOT_ORIENTABLE
+            break
         posets = transitive_orientations(sub)
         tried += len(posets)
         if not posets:

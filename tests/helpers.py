@@ -7,20 +7,32 @@ independent of the library's algorithms, so the two can disagree loudly.
 from __future__ import annotations
 
 import functools
+import random
 from itertools import combinations, permutations
 
 from barysub import (
+    MAX_GROUND,
+    STATUS_NOT_FACE_POSET,
+    STATUS_NOT_ORIENTABLE,
+    STATUS_OK,
+    EmptyInput,
     FacePoset,
+    GroundSetTooLarge,
     LabeledGraph,
     NotAFacePoset,
     Orientation,
+    ReconstructionReport,
     SimplicialComplex,
     VertexSet,
     canonical_form,
+    comparability_graph,
+    complex_from_face_poset,
     complex_from_facets,
     enumerate_complexes,
+    transitive_orientations,
 )
-from barysub.core import _initial_colors
+from barysub.core import _initial_colors, _mask_elements, mask_components
+from barysub.graphs import _adjacency
 
 
 def mask_of(elems) -> int:
@@ -218,6 +230,43 @@ def brute_transitive_orientations(g: LabeledGraph) -> list[tuple[int, ...]]:
             results.append(heads)
     results.sort(key=lambda hs: tuple(0 if h == e[1] else 1 for e, h in zip(g.edges, hs)))
     return results
+
+
+def brute_is_transitively_orientable(g: LabeledGraph) -> bool:
+    """Whether some orientation of g's edges is transitive.
+
+    Depth-first over the edges in order, each one way and then the other;
+    a partial orientation is dropped as soon as two arcs a->b->c cannot be
+    closed by a->c (a and c not adjacent, or their edge already c->a).
+    Stops at the first full orientation, which is then transitive.
+    """
+    nbrs: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    for i, j in g.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    out: list[set[int]] = [set() for _ in range(g.vertex_count)]
+
+    def fits(t: int, h: int) -> bool:
+        # t->h->c needs t->c; a->t->h needs a->h
+        if any(c not in nbrs[t] or t in out[c] for c in out[h]):
+            return False
+        return not any(
+            t in out[a] and (h not in nbrs[a] or a in out[h])
+            for a in range(g.vertex_count)
+        )
+
+    def place(k: int) -> bool:
+        if k == len(g.edges):
+            return True
+        for t, h in (g.edges[k], g.edges[k][::-1]):
+            if fits(t, h):
+                out[t].add(h)
+                if place(k + 1):
+                    return True
+                out[t].discard(h)
+        return False
+
+    return place(0)
 
 
 def as_orientation(g: LabeledGraph, p: FacePoset) -> Orientation:
@@ -430,3 +479,107 @@ def universe_through(n_max: int, up_to_iso: bool = True):
     for n in range(1, n_max + 1):
         out.extend(universe(n, up_to_iso))
     return tuple(out)
+
+
+def unfiltered_reconstruct(g: LabeledGraph) -> ReconstructionReport:
+    """``reconstruct_from_comparability_graph`` without the true-twin prefilter.
+
+    Every component enumerates all its transitive orientations and tries
+    each on the face-poset check, so ``orientations_tried`` is a count of
+    posets actually examined. Kept as the oracle the prefiltered path must
+    reproduce report for report.
+    """
+    if g.vertex_count == 0:
+        raise EmptyInput("graph has no vertices")
+    tried = 0
+    any_double = False
+    picked = []
+    status = STATUS_OK
+    for comp in mask_components(_adjacency(g)):
+        verts = [v - 1 for v in _mask_elements(comp)]
+        index = {v: k for k, v in enumerate(verts)}
+        sub = LabeledGraph(
+            len(verts),
+            tuple((index[i], index[j]) for i, j in g.edges if (comp >> i) & 1),
+        )
+        posets = transitive_orientations(sub)
+        tried += len(posets)
+        if not posets:
+            status = STATUS_NOT_ORIENTABLE
+            break
+        successes = []
+        for poset in posets:
+            try:
+                rebuilt, sources = complex_from_face_poset(poset)
+            except NotAFacePoset:
+                continue
+            successes.append((rebuilt, tuple(verts[s] for s in sources)))
+        if not successes:
+            status = STATUS_NOT_FACE_POSET
+            break
+        if len(successes) >= 2:
+            forms = {canonical_form(c).sort_key for c, _ in successes}
+            assert len(forms) == 1, "successful orientations disagree"
+            any_double = True
+        picked.append(successes[0])
+    if status != STATUS_OK:
+        return ReconstructionReport(status, None, tried, False)
+    ground = sum(c.ground_size for c, _ in picked)
+    if ground > MAX_GROUND:
+        raise GroundSetTooLarge(
+            f"reconstruction needs {ground} vertices, cap is {MAX_GROUND}"
+        )
+    facets = []
+    source_map = []
+    offset = 0
+    for c, sources in picked:
+        for f in c.facets:
+            facets.append(VertexSet(offset + e for e in f.elements))
+        source_map.extend(sources)
+        offset += c.ground_size
+    merged = complex_from_facets(ground, facets)
+    return ReconstructionReport(STATUS_OK, merged, tried, any_double, tuple(source_map))
+
+
+def cocktail_party(k: int) -> LabeledGraph:
+    """K_{2,...,2} on k parts: vertices 2p and 2p+1 form part p and are the
+    only non-adjacent pair among them."""
+    n = 2 * k
+    return LabeledGraph(
+        n, tuple((i, j) for i, j in combinations(range(n), 2) if j != i + 1 or i % 2)
+    )
+
+
+def module_path(m: int, module: LabeledGraph) -> LabeledGraph:
+    """P_m[module]: m copies of module in a row, consecutive copies fully joined."""
+    k = module.vertex_count
+    edges = [(x * k + i, x * k + j) for x in range(m) for i, j in module.edges]
+    edges += [
+        (x * k + i, (x + 1) * k + j) for x in range(m - 1)
+        for i in range(k) for j in range(k)
+    ]
+    return LabeledGraph(m * k, tuple(sorted(edges)))
+
+
+def has_true_twins(g: LabeledGraph) -> bool:
+    """Whether two vertices have the same closed neighbourhood, pair by pair."""
+    closed = [{v} for v in range(g.vertex_count)]
+    for i, j in g.edges:
+        closed[i].add(j)
+        closed[j].add(i)
+    return any(closed[a] == closed[b] for a, b in combinations(range(g.vertex_count), 2))
+
+
+def orientation_count_graphs() -> list[LabeledGraph]:
+    """Seeded random graphs on at most 8 vertices, the face-poset graphs of
+    the universe through 4, K1-K8, P_m[K2] and P_m[C4] for m <= 6, and the
+    cocktail-party graphs on 2-4 parts."""
+    rng = random.Random(107)
+    graphs = [random_graph(rng, rng.randint(0, 8), rng.random()) for _ in range(300)]
+    graphs += [comparability_graph(c) for c in universe_through(4)]
+    graphs += [complete_graph(n) for n in range(1, 9)]
+    for m in range(1, 7):
+        graphs.append(module_path(m, complete_graph(2)))
+        graphs.append(module_path(m, cycle_graph(4)))
+    graphs += [cocktail_party(k) for k in range(2, 5)]
+    return graphs

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through in-process main() calls."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -276,6 +277,50 @@ def test_oversized_ground_set_exits_2(capsys, tmp_path):
                 "error": "GroundSetTooLarge",
                 "message": f"ground set size {ground} exceeds 64",
             }
+
+
+def test_oversized_graph_exits_2_at_once(capsys, tmp_path):
+    src = tmp_path / "huge.json"
+    for count in (10**20, 10**7):
+        src.write_text(json.dumps({"vertices": count, "edges": []}))
+        for op in ("reconstruct", "check-comparability"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, op, str(src))
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == ""
+            assert json.loads(err) == {
+                "error": "GroundSetTooLarge",
+                "message": f"graph with {count} vertices exceeds the 4096-vertex cap",
+            }
+
+
+def test_k46_is_refused_with_its_orientation_count(capsys, tmp_path):
+    n = 46
+    src = tmp_path / "k46.json"
+    edges = [[i, j] for i in range(n) for j in range(i + 1, n)]
+    src.write_text(json.dumps({"vertices": n, "edges": edges}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "reconstruct", "--report", str(src))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert json.loads(out) == {
+        "status": "not_face_poset",
+        "complex": None,
+        "orientations_tried": math.factorial(n),
+        "both_admissible": False,
+    }
+
+
+@pytest.mark.parametrize("module", ["barysub", "barysub.cli"])
+def test_python_dash_m_runs_the_cli(capsys, module):
+    argv = ["euler", str(COMPLEXES / "edge.json")]
+    want = run(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert want == (0, "1\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == want
 
 
 def test_version_and_usage(capsys):

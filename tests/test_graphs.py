@@ -3,6 +3,7 @@
 from itertools import combinations
 from math import factorial
 import random
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from barysub import (
     barycentric_subdivision,
     clique_complex,
     comparability_graph,
+    count_transitive_orientations,
     empty_complex,
     full_simplex,
     graph_complement,
@@ -269,23 +271,12 @@ def test_orientations_deterministic_order_and_reversal_closure():
             assert o.reverse().direction_bits in have
 
 
-def module_path(m: int, module: LabeledGraph) -> LabeledGraph:
-    """P_m[module]: m copies of module in a row, consecutive copies fully joined."""
-    k = module.vertex_count
-    edges = [(x * k + i, x * k + j) for x in range(m) for i, j in module.edges]
-    edges += [
-        (x * k + i, (x + 1) * k + j) for x in range(m - 1)
-        for i in range(k) for j in range(k)
-    ]
-    return LabeledGraph(m * k, tuple(sorted(edges)))
-
-
 def test_orientation_counts_beyond_the_brute_force_oracle():
     # known counts: 2^(m+1) for P_m[K2] and P_m[C4], n! for K_n
     cases = [(helpers.complete_graph(n), factorial(n)) for n in range(1, 8)]
     for m in range(4, 9):
-        cases.append((module_path(m, helpers.complete_graph(2)), 2 ** (m + 1)))
-        cases.append((module_path(m, helpers.cycle_graph(4)), 2 ** (m + 1)))
+        cases.append((helpers.module_path(m, helpers.complete_graph(2)), 2 ** (m + 1)))
+        cases.append((helpers.module_path(m, helpers.cycle_graph(4)), 2 ** (m + 1)))
     for g, count in cases:
         posets = transitive_orientations(g)
         _assert_posets_match_their_orientations(g, posets)
@@ -302,6 +293,42 @@ def test_orientation_counts_beyond_the_brute_force_oracle():
             # transitive: every successor's successors are successors
             for t, h in o.arcs():
                 assert succ[h] & ~succ[t] == 0, (g, o)
+
+
+def test_count_matches_enumeration():
+    for g in helpers.orientation_count_graphs():
+        assert count_transitive_orientations(g) == len(transitive_orientations(g)), g
+    for m in range(4, 7):
+        for module in (helpers.complete_graph(2), helpers.cycle_graph(4)):
+            assert count_transitive_orientations(helpers.module_path(m, module)) == 2 ** (m + 1)
+    for k in range(2, 5):
+        assert count_transitive_orientations(helpers.cocktail_party(k)) == factorial(k)
+
+
+def test_counts_without_enumeration():
+    start = time.perf_counter()
+    assert count_transitive_orientations(helpers.complete_graph(20)) == factorial(20)
+    path = helpers.module_path(30, helpers.complete_graph(2))
+    assert count_transitive_orientations(path) == 2 ** 31
+    # series node of 46 non-adjacent pairs
+    assert count_transitive_orientations(helpers.cocktail_party(46)) == factorial(46)
+    assert count_transitive_orientations(LabeledGraph(0, ())) == 1
+    assert count_transitive_orientations(LabeledGraph(5, ())) == 1
+    assert count_transitive_orientations(helpers.cycle_graph(7)) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_orientability_by_implication_classes_matches_a_search():
+    rng = random.Random(109)
+    for _ in range(5000):
+        g = helpers.random_graph(rng, rng.randint(1, 9), rng.random())
+        assert is_transitively_orientable(g) == helpers.brute_is_transitively_orientable(g), g
+
+
+def test_orientability_of_k30_takes_no_enumeration():
+    start = time.perf_counter()
+    assert is_transitively_orientable(helpers.complete_graph(30))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_inclusion_orientation_is_transitive():

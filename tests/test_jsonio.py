@@ -20,6 +20,7 @@ from barysub import (
     void_complex,
 )
 from barysub.jsonio import (
+    MAX_GRAPH_VERTICES,
     complex_from_obj,
     complex_to_obj,
     dumps,
@@ -172,6 +173,14 @@ def test_graph_from_obj_rejects_malformed():
     ]:
         with pytest.raises(ValueError):
             graph_from_obj(bad)
+
+
+def test_graph_from_obj_caps_the_vertex_count():
+    assert MAX_GRAPH_VERTICES == 4096
+    assert graph_from_obj({"vertices": MAX_GRAPH_VERTICES, "edges": []}).vertex_count == 4096
+    for vertices in (MAX_GRAPH_VERTICES + 1, 10**20, [[1]] * (MAX_GRAPH_VERTICES + 1)):
+        with pytest.raises(GroundSetTooLarge):
+            graph_from_obj({"vertices": vertices, "edges": []})
 
 
 def test_reconstruction_report_shape():

@@ -1,7 +1,10 @@
 """Rebuilding a complex from its face-poset graph or its subdivision."""
 
 from itertools import combinations
+from math import factorial
+from pathlib import Path
 import random
+import sys
 
 import pytest
 
@@ -9,6 +12,7 @@ import helpers
 from helpers import cx, facet_sets
 
 import barysub.reconstruct as reconstruct_module
+from barysub import jsonio
 from barysub import (
     EmptyInput,
     FacePoset,
@@ -28,6 +32,7 @@ from barysub import (
     complex_from_face_poset,
     empty_complex,
     full_simplex,
+    graph_complement,
     inclusion_orientation,
     is_complex_comparability_graph,
     one_skeleton_graph,
@@ -492,3 +497,78 @@ def test_single_vertex_graph_reconstructs_to_point():
     assert r.complex == cx(1, (1,))
     assert r.orientations_tried == 1
     assert r.source_map == (0,)
+
+
+def test_no_face_poset_graph_has_true_twins():
+    rng = random.Random(131)
+    cases = list(helpers.universe_through(4))
+    cases += [helpers.random_complex(rng, rng.randint(1, 6)) for _ in range(200)]
+    for c in cases:
+        assert not helpers.has_true_twins(comparability_graph(c)), c
+
+
+def _workload_graphs(workload: str, root: Path) -> list[LabeledGraph]:
+    """The graphs the benchmark's reject or roundtrip workload reconstructs at
+    seed 7: its graph inputs, and the comparability graphs of its complexes."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    if str(bench) not in sys.path:
+        sys.path.insert(0, str(bench))
+    import workloads
+
+    workloads.build(workload, 7, root)
+    graphs = []
+    for path in sorted((root / "in").iterdir()):
+        obj = jsonio.loads(path.read_text(encoding="utf-8"))
+        if "vertices" in obj:
+            graphs.append(jsonio.graph_from_obj(obj))
+        elif workload == "roundtrip":
+            graphs.append(comparability_graph(jsonio.complex_from_obj(obj)))
+    return graphs
+
+
+def _disjoint_union(*graphs: LabeledGraph) -> LabeledGraph:
+    edges = []
+    offset = 0
+    for g in graphs:
+        edges += [(offset + i, offset + j) for i, j in g.edges]
+        offset += g.vertex_count
+    return LabeledGraph(offset, tuple(edges))
+
+
+def test_twin_prefilter_reports_match_the_unfiltered_search(tmp_path):
+    hexagon = helpers.cycle_graph(6)
+    k3 = helpers.complete_graph(3)
+    graphs = [g for g in helpers.orientation_count_graphs() if g.vertex_count]
+    graphs += [graph_complement(g) for g in graphs[:300]]
+    # twins in a later component: earlier components' counts still add up
+    graphs += [
+        _disjoint_union(hexagon, k3),
+        _disjoint_union(hexagon, helpers.cycle_graph(5), k3),
+        _disjoint_union(hexagon, k3, helpers.cycle_graph(5)),
+    ]
+    graphs += _workload_graphs("reject", tmp_path / "reject")
+    graphs += _workload_graphs("roundtrip", tmp_path / "roundtrip")
+    twins = 0
+    for g in graphs:
+        assert reconstruct_from_comparability_graph(g) == helpers.unfiltered_reconstruct(g), g
+        twins += helpers.has_true_twins(g)
+    # both paths are exercised: 286 of the 876 graphs have twins
+    assert 100 < twins < len(graphs) - 100
+
+
+def test_twin_components_are_refused_without_enumeration(monkeypatch):
+    def no_search(g):
+        raise AssertionError("a component with twins reached the search")
+
+    monkeypatch.setattr(reconstruct_module, "transitive_orientations", no_search)
+    for n in range(2, 47):
+        r = reconstruct_from_comparability_graph(helpers.complete_graph(n))
+        assert r.status == STATUS_NOT_FACE_POSET
+        assert r.orientations_tried == factorial(n)
+        assert r.complex is None and not r.both_orientations_admissible
+    # a twin component that no orientation fits: a 5-cycle with a twin of 0
+    c5_twin = LabeledGraph(
+        6, tuple(sorted(helpers.cycle_graph(5).edges + ((0, 5), (1, 5), (4, 5))))
+    )
+    r = reconstruct_from_comparability_graph(c5_twin)
+    assert r == reconstruct_module.ReconstructionReport(STATUS_NOT_ORIENTABLE, None, 0, False)

@@ -61,9 +61,16 @@ def induced_components(adj: list[int], left: int) -> list[int]:
     return comps
 
 
-def _mask_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    # Deterministic face order: cardinality, then lex on sorted elements.
-    return (mask.bit_count(), _mask_elements(mask))
+# _REV8[b] is the byte b with its eight bits in reverse order.
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _mask_key(mask: int) -> tuple[int, int]:
+    # Deterministic face order: cardinality, then lex on sorted elements. Of
+    # two sets of one size, the lex-smaller one holds the least element of
+    # their symmetric difference, so its mask with all 64 bits reversed is
+    # the larger. to_bytes raises OverflowError past 64 bits, not misorders.
+    return (mask.bit_count(), -int.from_bytes(mask.to_bytes(8, "little").translate(_REV8), "big"))
 
 
 @functools.total_ordering
@@ -105,7 +112,7 @@ class VertexSet:
 
     @property
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return _mask_key(self._mask)
+        return (self._mask.bit_count(), _mask_elements(self._mask))
 
     def __len__(self) -> int:
         return self._mask.bit_count()
@@ -159,8 +166,10 @@ class SimplicialComplex:
     ``void=True`` encodes the void complex (no faces, not even the empty
     one); it always has an empty facet tuple. ``void=False`` with no facets
     is the empty complex, whose single face is the empty set. Both have
-    dimension -1. Construct through :func:`complex_from_facets`, which
-    normalizes arbitrary generating families.
+    dimension -1. Every library operation yields a facet antichain by
+    construction and builds its result from those facet masks through
+    ``_antichain_complex``, which sorts them; :func:`complex_from_facets`
+    first normalizes an arbitrary generating family into such an antichain.
     """
 
     ground_size: int
@@ -180,7 +189,7 @@ class SimplicialComplex:
         for f in self.facets:
             if not isinstance(f, VertexSet) or f.mask == 0 or f.mask & ~full:
                 raise ValueError(f"facet {f!r} invalid over ground size {n}")
-            key = f.sort_key
+            key = _mask_key(f.mask)
             if prev is not None and key <= prev:
                 raise ValueError("facets must be strictly sorted by (size, lex)")
             prev = key
@@ -293,7 +302,7 @@ class SimplicialComplex:
             else:
                 bits = [1 << (v - 1) for v in f.elements]
                 keep.update(sum(c) for c in combinations(bits, limit))
-        return complex_from_facets(self.ground_size, [VertexSet.from_mask(m) for m in keep])
+        return _antichain_complex(self.ground_size, keep)
 
     def _vertex_partition(self) -> list[int]:
         # Components of the 1-skeleton as vertex masks (bit v-1 is vertex v):
@@ -325,13 +334,9 @@ class SimplicialComplex:
             if self.void:
                 out.append(Component(void_complex(k), group))
                 continue
-            index = {v: j + 1 for j, v in enumerate(group)}
-            local = [
-                VertexSet(index[v] for v in f.elements)
-                for f in self.facets
-                if f.mask & ~gmask == 0
-            ]
-            out.append(Component(complex_from_facets(k, local), group))
+            bit = {v: 1 << j for j, v in enumerate(group)}
+            local = [sum(bit[v] for v in f.elements) for f in self.facets if f.mask & ~gmask == 0]
+            out.append(Component(_antichain_complex(k, local), group))
         return out
 
 
@@ -346,39 +351,42 @@ class Component:
     vertices: tuple[int, ...]
 
 
-def _normalize_facets(ground_size: int, facets) -> tuple[VertexSet, ...]:
-    masks = set()
-    for f in facets:
-        if isinstance(f, VertexSet):
-            m = f.mask
-        else:
-            m = VertexSet(f).mask
-        # shift, not a full mask: ground_size is not capped yet
-        if m >> max(ground_size, 0):
-            shown = list(_mask_elements(m))
-            raise ValueError(f"facet {shown} outside ground set of size {ground_size}")
-        if m:
-            masks.add(m)
-    by_size = sorted(masks, key=lambda m: -m.bit_count())
-    maximal: list[int] = []
-    larger = 0  # maximal[:larger] are the kept masks larger than m
-    for m in by_size:
-        if maximal and maximal[-1].bit_count() > m.bit_count():
-            larger = len(maximal)
-        # Distinct masks of one size never nest, so only larger ones can absorb m.
-        if not any(m | k == k for k in islice(maximal, larger)):
-            maximal.append(m)
-    return tuple(VertexSet.from_mask(m) for m in sorted(maximal, key=_mask_key))
+def _antichain_complex(ground_size: int, masks) -> SimplicialComplex:
+    """The complex with the given facet masks, stored in (cardinality, lex) order.
+
+    The nonzero masks must be distinct and pairwise incomparable, as every
+    library operation's facets are by construction; only their order is
+    checked. A zero mask is dropped, so ``[0]`` gives the empty complex.
+    """
+    facets = sorted((m for m in masks if m), key=_mask_key)
+    return SimplicialComplex(ground_size, tuple(VertexSet.from_mask(m) for m in facets))
 
 
 def complex_from_facets(ground_size: int, facets) -> SimplicialComplex:
     """Build a complex from any generating family of faces.
 
-    Empty members are dropped, non-maximal members absorbed, and the facet
-    antichain stored in (cardinality, lex) order. An empty family yields the
-    empty complex ``{∅}``; use :func:`void_complex` for the void complex.
+    Members are VertexSets or iterables of vertices. Empty members are
+    dropped, non-maximal members absorbed, and the facet antichain stored
+    in (cardinality, lex) order. An empty family yields the empty complex
+    ``{∅}``; use :func:`void_complex` for the void complex.
     """
-    return SimplicialComplex(ground_size, _normalize_facets(ground_size, facets))
+    masks = set()
+    for f in facets:
+        m = f.mask if isinstance(f, VertexSet) else VertexSet(f).mask
+        # shift, not a full mask: ground_size is not capped yet
+        if m >> max(ground_size, 0):
+            shown = list(_mask_elements(m))
+            raise ValueError(f"facet {shown} outside ground set of size {ground_size}")
+        masks.add(m)
+    maximal: list[int] = []
+    larger = 0  # maximal[:larger] are the kept masks larger than m
+    for m in sorted(masks, key=lambda m: -m.bit_count()):
+        if maximal and maximal[-1].bit_count() > m.bit_count():
+            larger = len(maximal)
+        # Distinct masks of one size never nest, so only larger ones can absorb m.
+        if not any(m | k == k for k in islice(maximal, larger)):
+            maximal.append(m)
+    return _antichain_complex(ground_size, maximal)
 
 
 def void_complex(ground_size: int) -> SimplicialComplex:
@@ -428,7 +436,9 @@ def relabel_complex(cx: SimplicialComplex, bijection) -> SimplicialComplex:
         raise ValueError("bijection size does not match ground set")
     if cx.void:
         return void_complex(cx.ground_size)
-    return complex_from_facets(cx.ground_size, [bij.apply(f) for f in cx.facets])
+    bits = [1 << (img - 1) for img in bij.mapping]
+    images = [sum(bits[v - 1] for v in f.elements) for f in cx.facets]
+    return _antichain_complex(cx.ground_size, images)
 
 
 @dataclass(frozen=True)
@@ -637,16 +647,16 @@ def _canonical(cx: SimplicialComplex) -> tuple[CanonicalForm, tuple[int, ...]]:
         parts.append((comp.complex.ground_size, enc, comp.vertices, labels))
     parts.sort(key=lambda t: (t[0], t[1]))
     labeling = [0] * n
-    out_facets: list[VertexSet] = []
+    out_masks: list[int] = []
     offset = 0
     for g, enc, orig, labels in parts:
         for j in range(g):
             labeling[orig[j] - 1] = offset + labels[j] + 1
         for _, els in enc:
-            out_facets.append(VertexSet(offset + e for e in els))
+            out_masks.append(sum(1 << (offset + e - 1) for e in els))
         offset += g
-    out_facets.sort(key=lambda f: f.sort_key)
-    return CanonicalForm(n, tuple(out_facets), False), tuple(labeling)
+    out_facets = tuple(VertexSet.from_mask(m) for m in sorted(out_masks, key=_mask_key))
+    return CanonicalForm(n, out_facets, False), tuple(labeling)
 
 
 def canonical_form(cx: SimplicialComplex) -> CanonicalForm:

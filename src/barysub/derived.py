@@ -11,15 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import (
-    MAX_GROUND,
-    SimplicialComplex,
-    VertexSet,
-    complex_from_facets,
-    empty_complex,
-    full_simplex,
-    void_complex,
-)
+from .core import MAX_GROUND, SimplicialComplex, VertexSet, _antichain_complex, void_complex
 from .errors import EmptyInput, GroundSetTooLarge, VoidComplex
 
 
@@ -74,8 +66,7 @@ def barycentric_subdivision(cx: SimplicialComplex) -> tuple[SimplicialComplex, F
                 prefix |= 1 << (v - 1)
                 chain |= 1 << (index[prefix] - 1)
             chains.add(chain)
-    sub = complex_from_facets(len(faces), [VertexSet.from_mask(c) for c in chains])
-    return sub, FaceLabeling(tuple(faces))
+    return _antichain_complex(len(faces), chains), FaceLabeling(tuple(faces))
 
 
 def iterated_subdivision(cx: SimplicialComplex, k: int) -> SimplicialComplex:
@@ -92,17 +83,13 @@ def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
     """The dual complex: facets are ground-complements of the minimal nonfaces.
 
     An involution on complexes over a fixed ground set. The full simplex and
-    the void complex are each other's duals. Complements of an antichain are
-    one, so the facets skip ``complex_from_facets``' maximality filter.
+    the void complex are each other's duals.
     """
     full = cx.full_mask
-    duals = [VertexSet.from_mask(full & ~nf.mask) for nf in cx.minimal_nonfaces()]
+    duals = [full & ~nf.mask for nf in cx.minimal_nonfaces()]
     if not duals:
         return void_complex(cx.ground_size)
-    if duals == [VertexSet.from_mask(0)]:
-        return empty_complex(cx.ground_size)
-    duals.sort(key=lambda f: f.sort_key)
-    return SimplicialComplex(cx.ground_size, tuple(duals))
+    return _antichain_complex(cx.ground_size, duals)
 
 
 def complement_complex(cx: SimplicialComplex) -> SimplicialComplex:
@@ -112,13 +99,9 @@ def complement_complex(cx: SimplicialComplex) -> SimplicialComplex:
     """
     if cx.void:
         return void_complex(cx.ground_size)
-    if not cx.facets:
-        return full_simplex(cx.ground_size)
     full = cx.full_mask
-    comp = [VertexSet.from_mask(full & ~f.mask) for f in cx.facets]
-    if all(f.mask == 0 for f in comp):
-        return empty_complex(cx.ground_size)
-    return complex_from_facets(cx.ground_size, comp)
+    # the empty complex's one facet is ∅, whose complement is the full set
+    return _antichain_complex(cx.ground_size, [full & ~f.mask for f in cx.facets] or [full])
 
 
 def stanley_reisner_generators(cx: SimplicialComplex) -> list[VertexSet]:

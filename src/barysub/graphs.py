@@ -24,8 +24,8 @@ from .core import (
     MAX_GROUND,
     SimplicialComplex,
     VertexSet,
+    _antichain_complex,
     _mask_elements,
-    complex_from_facets,
     induced_components,
 )
 from .errors import EmptyInput, GroundSetTooLarge, VoidComplex
@@ -114,8 +114,7 @@ def clique_complex(g: LabeledGraph) -> SimplicialComplex:
         raise EmptyInput("clique complex needs at least one vertex")
     if n > MAX_GROUND:
         raise GroundSetTooLarge(f"{n} vertices exceed the {MAX_GROUND}-element cap")
-    cliques = _maximal_cliques(_adjacency(g), n)
-    return complex_from_facets(n, [VertexSet.from_mask(m) for m in cliques])
+    return _antichain_complex(n, _maximal_cliques(_adjacency(g), n))
 
 
 def independence_complex(g: LabeledGraph) -> SimplicialComplex:

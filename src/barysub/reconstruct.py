@@ -31,11 +31,9 @@ from dataclasses import dataclass
 from .core import (
     MAX_GROUND,
     SimplicialComplex,
-    VertexSet,
+    _antichain_complex,
     _mask_elements,
-    _mask_key,
     canonical_form,
-    complex_from_facets,
     mask_components,
 )
 from .errors import EmptyInput, GroundSetTooLarge, NotAFacePoset, NotTransitive
@@ -125,8 +123,7 @@ def complex_from_face_poset(p: FacePoset) -> tuple[SimplicialComplex, tuple[int,
             for i in _mask_elements(m):
                 if m ^ (1 << (i - 1)) not in images:
                     raise NotAFacePoset("down-sets do not form the full face family")
-    tops = sorted((image[t] for t in sinks), key=_mask_key)
-    cx = SimplicialComplex(len(src), tuple(VertexSet.from_mask(m) for m in tops))
+    cx = _antichain_complex(len(src), [image[t] for t in sinks])
     return cx, tuple(p.elements[s] for s in src)
 
 
@@ -177,11 +174,13 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     for comp in mask_components(adj):
         verts = [v - 1 for v in _mask_elements(comp)]
         index = {v: k for k, v in enumerate(verts)}
-        # a component is closed under edges: its subgraph is its edges re-indexed
-        sub = LabeledGraph(
-            len(verts),
-            tuple((index[i], index[j]) for i, j in g.edges if (comp >> i) & 1),
-        )
+        # a component is closed under edges: its subgraph is, for each of its
+        # vertices in turn, the neighbours above that vertex, re-indexed
+        sub = LabeledGraph(len(verts), tuple(
+            (k, index[j - 1])
+            for k, i in enumerate(verts)
+            for j in _mask_elements(adj[i] >> (i + 1) << (i + 1))
+        ))
         if len({adj[v] | 1 << v for v in verts}) < len(verts):
             # true twins: no face poset has them, so every orientation fails
             k = count_transitive_orientations(sub)
@@ -218,15 +217,14 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
         raise GroundSetTooLarge(
             f"reconstruction needs {ground} vertices, cap is {MAX_GROUND}"
         )
-    facets: list[VertexSet] = []
+    masks: list[int] = []
     source_map: list[int] = []
     offset = 0
     for cx, sources in picked:
-        for f in cx.facets:
-            facets.append(VertexSet(offset + e for e in f.elements))
+        masks.extend(f.mask << offset for f in cx.facets)
         source_map.extend(sources)
         offset += cx.ground_size
-    merged = complex_from_facets(ground, facets)
+    merged = _antichain_complex(ground, masks)
     return ReconstructionReport(
         STATUS_OK, merged, tried, any_double, tuple(source_map)
     )

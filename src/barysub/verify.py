@@ -17,10 +17,9 @@ import random
 
 from .core import (
     SimplicialComplex,
-    VertexSet,
+    _antichain_complex,
     are_isomorphic,
     canonical_form,
-    complex_from_facets,
     relabel_complex,
 )
 from .derived import (
@@ -103,7 +102,7 @@ def enumerate_complexes(n: int, up_to_iso: bool = False) -> list[SimplicialCompl
     families.sort(key=lambda f: (len(f), tuple(_mask_sort_key(m) for m in f)))
     if up_to_iso:
         families = _first_of_each_orbit(n, families)
-    return [complex_from_facets(n, [VertexSet.from_mask(m) for m in fam]) for fam in families]
+    return [_antichain_complex(n, fam) for fam in families]
 
 
 def _first_of_each_orbit(n: int, families: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -177,6 +177,19 @@ def test_reconstruct_over_the_ground_cap_exits_2(capsys, tmp_path):
     }
 
 
+def test_reconstruct_of_the_largest_readable_graph_exits_2(capsys, tmp_path):
+    # 1,365 disjoint P3s: 4,095 vertices, at the JSON graph cap
+    edges = [[3 * k + i, 3 * k + 2] for k in range(1365) for i in (0, 1)]
+    src = tmp_path / "p3s.json"
+    src.write_text(json.dumps({"vertices": 4095, "edges": edges}))
+    code, out, err = run(capsys, "reconstruct", str(src))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "GroundSetTooLarge",
+        "message": "reconstruction needs 2730 vertices, cap is 64",
+    }
+
+
 def test_reconstruct_sub_not_flag(capsys):
     code, out, _ = run(
         capsys, "reconstruct-sub", str(COMPLEXES / "triangle_boundary.json")

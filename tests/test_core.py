@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -26,9 +27,12 @@ from barysub import (
     relabel_complex,
     void_complex,
 )
-from barysub.core import mask_components
-from barysub.derived import barycentric_subdivision
-from barysub.graphs import clique_complex, comparability_graph
+from barysub.core import _mask_key, mask_components
+from barysub.derived import alexander_dual, barycentric_subdivision, complement_complex
+from barysub.errors import NotAFacePoset
+from barysub.graphs import clique_complex, comparability_graph, transitive_orientations
+from barysub.reconstruct import complex_from_face_poset, reconstruct_from_comparability_graph
+from barysub.verify import enumerate_complexes
 
 # SHA-256 of repr((form.sort_key, labeling.mapping)) for the barycentric
 # subdivision of the 5-simplex, as the unpruned search computes them.
@@ -53,6 +57,18 @@ def test_vertexset_order_is_size_then_lex():
     # {2} < {1,4} < {2,3}: cardinality first, then element tuple
     a, b, c = VertexSet([2]), VertexSet([1, 4]), VertexSet([2, 3])
     assert sorted([c, b, a]) == [a, b, c]
+    assert c.sort_key == (2, (2, 3))
+    # the integer mask key orders masks exactly as the element-tuple key does
+    rng = random.Random(41)
+    masks = {1 << 63, (1 << 64) - 1}
+    while len(masks) < 10_000:
+        width = rng.randint(1, 64)
+        masks.add(rng.getrandbits(width) | 1 << (width - 1))
+    masks |= {m >> 1 for m in list(masks) if m > 1}
+    by_int = sorted(masks, key=_mask_key)
+    assert by_int == sorted(masks, key=lambda m: VertexSet.from_mask(m).sort_key)
+    with pytest.raises(OverflowError):
+        _mask_key(1 << 64)
 
 
 def test_vertexset_bounds():
@@ -101,16 +117,81 @@ def test_oversized_ground_set_is_refused_without_building_its_mask():
     assert peak < 1_000_000
 
 
+def _assert_facet_antichain(c):
+    for f, g in zip(c.facets, c.facets[1:]):
+        assert f.sort_key < g.sort_key
+    for i, f in enumerate(c.facets):
+        for j, g in enumerate(c.facets):
+            if i != j:
+                assert not f.issubset(g)
+    if not c.void:
+        # normalizing the stored facets again changes nothing
+        assert complex_from_facets(c.ground_size, c.facets) == c
+
+
+def _derived_complexes(c, rng):
+    """Every library operation's output on c that builds a new complex."""
+    n = c.ground_size
+    yield complement_complex(c)
+    yield alexander_dual(c)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    yield relabel_complex(c, perm)
+    yield from (comp.complex for comp in c.connected_components())
+    if c.void or not c.facets:
+        return
+    yield from (c.skeleton(i) for i in range(c.dimension() + 1))
+    g = comparability_graph(c)
+    yield clique_complex(helpers.random_graph(rng, rng.randint(1, 10), rng.random()))
+    if g.vertex_count <= 64:
+        yield clique_complex(g)
+        yield barycentric_subdivision(c)[0]
+    if g.vertex_count <= 40:
+        rec = reconstruct_from_comparability_graph(g)
+        if rec.complex is not None:
+            yield rec.complex
+        for poset in transitive_orientations(g)[:4]:
+            try:
+                yield complex_from_face_poset(poset)[0]
+            except NotAFacePoset:
+                pass
+
+
 def test_facet_antichain_invariant():
     rng = random.Random(7)
+    checked = 0
     for _ in range(60):
         c = helpers.random_complex(rng, rng.randint(1, 8))
-        for f, g in zip(c.facets, c.facets[1:]):
-            assert f.sort_key < g.sort_key
-        for i, f in enumerate(c.facets):
-            for j, g in enumerate(c.facets):
-                if i != j:
-                    assert not f.issubset(g)
+        _assert_facet_antichain(c)
+        for d in _derived_complexes(c, rng):
+            _assert_facet_antichain(d)
+            checked += 1
+    for n in (1, 2, 3):
+        for c in [void_complex(n), empty_complex(n), full_simplex(n)]:
+            for d in _derived_complexes(c, rng):
+                _assert_facet_antichain(d)
+    for c in enumerate_complexes(4):
+        _assert_facet_antichain(c)
+    assert checked > 600
+
+
+def test_constructor_checks_its_facets():
+    v = VertexSet.from_mask
+    for n, facets, void, message in [
+        (3, (v(1),), True, "void complex cannot carry facets"),
+        (3, ((1, 2),), False, "facet (1, 2) invalid over ground size 3"),
+        (3, (v(0),), False, "facet VertexSet(()) invalid over ground size 3"),
+        (3, (v(0b1000),), False, "facet VertexSet((4,)) invalid over ground size 3"),
+        (3, (v(1), v(1)), False, "facets must be strictly sorted by (size, lex)"),
+        (3, (v(2), v(1)), False, "facets must be strictly sorted by (size, lex)"),
+        (3, (v(3), v(1)), False, "facets must be strictly sorted by (size, lex)"),
+        (3, (v(0b110), v(0b101)), False, "facets must be strictly sorted by (size, lex)"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            SimplicialComplex(n, facets, void)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+    assert SimplicialComplex(3, (v(2), v(0b101))) == cx(3, (2,), (1, 3))
 
 
 def test_faces_triangle_boundary():
@@ -498,6 +579,33 @@ def test_canonical_forms_of_highly_symmetric_complexes():
     assert hashlib.sha256(repr(pinned).encode()).hexdigest() == SD5_DIGEST
     for _ in range(2):
         assert canonical_form(_shuffled(rng, sd5)) == form
+
+
+def test_canonical_form_of_a_complex_with_a_large_facet():
+    # 2^17 faces: the start colors come from facet-size profiles, not faces.
+    # a hangs a 7-edge path off the big facet, b a 6-edge path and an edge.
+    big = range(1, 18)
+    a = complex_from_facets(24, [big] + [(v, v + 1) for v in range(17, 24)])
+    b = complex_from_facets(24, [big] + [(v, v + 1) for v in range(17, 23)] + [(24, 1)])
+    assert sorted(len(f) for f in a.facets) == sorted(len(f) for f in b.facets)
+    assert canonical_form(a) != canonical_form(b)
+    assert are_isomorphic(a, b) is None
+    rng = random.Random(23)
+    for base in (a, b):
+        form = canonical_form(base)
+        for _ in range(6):
+            copy = _shuffled(rng, base)
+            assert canonical_form(copy) == form
+            witness = are_isomorphic(base, copy)
+            assert relabel_complex(base, witness) == copy
+
+
+def test_canonical_form_of_the_full_64_simplex_is_fast():
+    full = full_simplex(64)
+    start = time.perf_counter()
+    form = canonical_form(full)
+    assert time.perf_counter() - start < 1.0
+    assert form.facets == full.facets
 
 
 def test_void_vs_empty_are_distinct():

@@ -1,5 +1,6 @@
 """Universe enumeration and the exhaustive desk-scale verification harnesses."""
 
+from collections import namedtuple
 from itertools import combinations
 import random
 
@@ -21,6 +22,7 @@ from barysub import (
     verify_subdivision_rigidity,
     verify_theorems,
 )
+import barysub.verify as verify_module
 
 
 def brute_universe_n3() -> set[frozenset[frozenset[int]]]:
@@ -149,6 +151,32 @@ def test_equivalence_reports_are_clean():
         assert r.pair_checks == pairs
         assert r.failures == []
         assert r.ok
+
+
+Coarse = namedtuple("Coarse", "sort_key")
+
+
+def _coarse_form(c):
+    # ground size plus facet count: equal on many non-isomorphic pairs
+    return Coarse((c.ground_size, len(c.facets)))
+
+
+def test_harnesses_report_failures_under_a_coarse_canonical_form(monkeypatch):
+    monkeypatch.setattr(verify_module, "canonical_form", _coarse_form)
+    r = verify_subdivision_rigidity(4)
+    assert (r.universe_size, r.pair_checks, len(r.failures)) == (20, 230, 3)
+    assert r.failures[0] == (
+        "universe[4] and universe[15] are non-isomorphic but their "
+        "comparability graphs share a canonical form"
+    )
+    assert not r.ok
+    e = verify_equivalences(4)
+    assert (e.universe_size, e.pair_checks, len(e.failures)) == (20, 230, 182)
+    assert e.failures[0] == "pair (0,17): item dual answers True but complex isomorphism is False"
+    assert e.failures[1] == "pair (1,2): item dual answers False but complex isomorphism is True"
+    assert e.failures[-1] == (
+        "pair (16,17): item graph answers False but complex isomorphism is True"
+    )
 
 
 def test_equivalence_skip_note_only_when_cap_binds():

@@ -2,10 +2,10 @@
 
 Faces are subsets of {1, ..., n} stored as integer bit masks (bit i-1 is
 vertex i), so inclusion tests are single word operations. A complex stores
-only its facet antichain plus a flag separating the void complex (no faces
-at all) from the empty complex (just the empty face); everything else
-(faces, dimension, minimal nonfaces, skeleta, connectivity, canonical form)
-is derived on demand.
+only its facet masks plus a flag separating the void complex (no faces at
+all) from the empty complex (just the empty face); everything else (facets
+as VertexSets, faces, dimension, minimal nonfaces, skeleta, connectivity,
+canonical form) is derived on demand.
 
 All outputs are deterministically ordered: faces by (cardinality, lex),
 everything downstream by construction from that order.
@@ -163,9 +163,11 @@ class VertexSet:
 class SimplicialComplex:
     """A complex given by its facet antichain over ground set {1..ground_size}.
 
+    ``masks`` is the stored form, one int per facet in (cardinality, lex)
+    order; ``facets`` is derived from it on first read, as cached VertexSets.
     ``void=True`` encodes the void complex (no faces, not even the empty
-    one); it always has an empty facet tuple. ``void=False`` with no facets
-    is the empty complex, whose single face is the empty set. Both have
+    one); it always has no facets. ``void=False`` with no facets is the
+    empty complex, whose single face is the empty set. Both have
     dimension -1. Every library operation yields a facet antichain by
     construction and builds its result from those facet masks through
     ``_antichain_complex``, which sorts them; :func:`complex_from_facets`
@@ -173,7 +175,7 @@ class SimplicialComplex:
     """
 
     ground_size: int
-    facets: tuple[VertexSet, ...]
+    masks: tuple[int, ...]
     void: bool = False
 
     def __post_init__(self):
@@ -182,17 +184,21 @@ class SimplicialComplex:
             raise EmptyInput("ground set must have at least one element")
         if n > MAX_GROUND:
             raise GroundSetTooLarge(f"ground set size {n} exceeds {MAX_GROUND}")
-        if self.void and self.facets:
+        if self.void and self.masks:
             raise ValueError("void complex cannot carry facets")
         full = (1 << n) - 1
         prev = None
-        for f in self.facets:
-            if not isinstance(f, VertexSet) or f.mask == 0 or f.mask & ~full:
-                raise ValueError(f"facet {f!r} invalid over ground size {n}")
-            key = _mask_key(f.mask)
+        for m in self.masks:
+            if type(m) is not int or m == 0 or m & ~full:
+                raise ValueError(f"facet mask {m!r} invalid over ground size {n}")
+            key = _mask_key(m)
             if prev is not None and key <= prev:
                 raise ValueError("facets must be strictly sorted by (size, lex)")
             prev = key
+
+    @functools.cached_property
+    def facets(self) -> tuple[VertexSet, ...]:
+        return tuple(VertexSet.from_mask(m) for m in self.masks)
 
     @property
     def full_mask(self) -> int:
@@ -200,43 +206,37 @@ class SimplicialComplex:
 
     @property
     def support(self) -> VertexSet:
-        m = 0
-        for f in self.facets:
-            m |= f.mask
-        return VertexSet.from_mask(m)
+        return VertexSet.from_mask(functools.reduce(int.__or__, self.masks, 0))
 
     @property
     def has_all_vertices(self) -> bool:
-        return not self.void and self.support.mask == self.full_mask
+        return not self.void and functools.reduce(int.__or__, self.masks, 0) == self.full_mask
 
-    def _face_masks(self) -> list[int]:
+    def _face_set(self) -> set[int]:
         seen = set()
-        for f in self.facets:
-            m = f.mask
+        for m in self.masks:
             sub = m
             while sub:
                 seen.add(sub)
                 sub = (sub - 1) & m
-        return sorted(seen, key=_mask_key)
+        return seen
 
     def faces(self) -> list[VertexSet]:
         """All nonempty faces, sorted by (cardinality, lex)."""
-        return [VertexSet.from_mask(m) for m in self._face_masks()]
+        return [VertexSet.from_mask(m) for m in sorted(self._face_set(), key=_mask_key)]
 
     def dimension(self) -> int:
-        if not self.facets:
-            return -1
-        return max(len(f) for f in self.facets) - 1
+        # the masks are sorted by cardinality first, so the last is largest
+        return self.masks[-1].bit_count() - 1 if self.masks else -1
 
     def is_pure(self) -> bool:
         """True when all facets share one dimension (vacuously for <= 1 facet)."""
-        sizes = {len(f) for f in self.facets}
-        return len(sizes) <= 1
+        return len({m.bit_count() for m in self.masks}) <= 1
 
     def euler_characteristic(self) -> int:
         """Reduced-by-nothing Euler characteristic: sum of (-1)^dim over faces."""
         total = 0
-        for m in self._face_masks():
+        for m in self._face_set():
             total += -1 if m.bit_count() % 2 == 0 else 1
         return total
 
@@ -254,10 +254,10 @@ class SimplicialComplex:
         n = self.ground_size
         if self.void:
             return [VertexSet.from_mask(0)]
-        if not self.facets:
+        if not self.masks:
             return [VertexSet((i,)) for i in range(1, n + 1)]
         full = self.full_mask
-        hyperedges = sorted((full & ~f.mask for f in self.facets), key=_mask_key)
+        hyperedges = sorted((full & ~m for m in self.masks), key=_mask_key)
         # holds[u]: bit j set when hyperedges[j] contains vertex u+1
         holds = [0] * n
         trans = [0]  # the minimal transversal of no edges
@@ -296,11 +296,11 @@ class SimplicialComplex:
             raise SkeletonIndexOutOfRange(f"skeleton index {i} outside 0..{dim}")
         limit = i + 1
         keep = set()
-        for f in self.facets:
-            if len(f) <= limit:
-                keep.add(f.mask)
+        for m in self.masks:
+            if m.bit_count() <= limit:
+                keep.add(m)
             else:
-                bits = [1 << (v - 1) for v in f.elements]
+                bits = [1 << (v - 1) for v in _mask_elements(m)]
                 keep.update(sum(c) for c in combinations(bits, limit))
         return _antichain_complex(self.ground_size, keep)
 
@@ -309,9 +309,9 @@ class SimplicialComplex:
         # every facet is a clique, so a vertex's neighbours are the union of
         # the facets holding it.
         adj = [0] * self.ground_size
-        for f in self.facets:
-            for v in f.elements:
-                adj[v - 1] |= f.mask
+        for m in self.masks:
+            for v in _mask_elements(m):
+                adj[v - 1] |= m
         return mask_components(adj)
 
     def is_connected(self) -> bool:
@@ -335,7 +335,7 @@ class SimplicialComplex:
                 out.append(Component(void_complex(k), group))
                 continue
             bit = {v: 1 << j for j, v in enumerate(group)}
-            local = [sum(bit[v] for v in f.elements) for f in self.facets if f.mask & ~gmask == 0]
+            local = [sum(bit[v] for v in _mask_elements(m)) for m in self.masks if m & ~gmask == 0]
             out.append(Component(_antichain_complex(k, local), group))
         return out
 
@@ -358,8 +358,7 @@ def _antichain_complex(ground_size: int, masks) -> SimplicialComplex:
     library operation's facets are by construction; only their order is
     checked. A zero mask is dropped, so ``[0]`` gives the empty complex.
     """
-    facets = sorted((m for m in masks if m), key=_mask_key)
-    return SimplicialComplex(ground_size, tuple(VertexSet.from_mask(m) for m in facets))
+    return SimplicialComplex(ground_size, tuple(sorted((m for m in masks if m), key=_mask_key)))
 
 
 def complex_from_facets(ground_size: int, facets) -> SimplicialComplex:
@@ -370,17 +369,21 @@ def complex_from_facets(ground_size: int, facets) -> SimplicialComplex:
     in (cardinality, lex) order. An empty family yields the empty complex
     ``{∅}``; use :func:`void_complex` for the void complex.
     """
-    masks = set()
-    for f in facets:
-        m = f.mask if isinstance(f, VertexSet) else VertexSet(f).mask
+    return _generated_complex(ground_size, (VertexSet(f).mask for f in facets))
+
+
+def _generated_complex(ground_size: int, masks) -> SimplicialComplex:
+    """:func:`complex_from_facets` on face masks, each checked against the ground set."""
+    seen = set()
+    for m in masks:
         # shift, not a full mask: ground_size is not capped yet
         if m >> max(ground_size, 0):
             shown = list(_mask_elements(m))
             raise ValueError(f"facet {shown} outside ground set of size {ground_size}")
-        masks.add(m)
+        seen.add(m)
     maximal: list[int] = []
     larger = 0  # maximal[:larger] are the kept masks larger than m
-    for m in sorted(masks, key=lambda m: -m.bit_count()):
+    for m in sorted(seen, key=lambda m: -m.bit_count()):
         if maximal and maximal[-1].bit_count() > m.bit_count():
             larger = len(maximal)
         # Distinct masks of one size never nest, so only larger ones can absorb m.
@@ -437,39 +440,31 @@ def relabel_complex(cx: SimplicialComplex, bijection) -> SimplicialComplex:
     if cx.void:
         return void_complex(cx.ground_size)
     bits = [1 << (img - 1) for img in bij.mapping]
-    images = [sum(bits[v - 1] for v in f.elements) for f in cx.facets]
+    images = [sum(bits[v - 1] for v in _mask_elements(m)) for m in cx.masks]
     return _antichain_complex(cx.ground_size, images)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Isomorphism-class fingerprint: relabeled facets on a canonical ground set.
+class CanonicalForm(SimplicialComplex):
+    """Isomorphism-class fingerprint: the complex relabeled onto canonical positions.
 
-    Two complexes are isomorphic exactly when their canonical forms are equal.
+    Stored like any complex, as facet ``masks`` with ``facets`` derived; a
+    canonical form never equals a plain SimplicialComplex. Two complexes
+    are isomorphic exactly when their canonical forms are equal.
     """
-
-    ground_size: int
-    facets: tuple[VertexSet, ...]
-    void: bool = False
 
     @property
     def sort_key(self):
-        return (self.void, self.ground_size, tuple(f.sort_key for f in self.facets))
+        facet_keys = tuple((m.bit_count(), _mask_elements(m)) for m in self.masks)
+        return (self.void, self.ground_size, facet_keys)
 
 
-def _initial_colors(k: int, fmasks: list[int]) -> list:
+def _initial_colors(cx: SimplicialComplex) -> list:
     """Isomorphism-invariant starting colors for the refinement search."""
-    budget = sum(1 << m.bit_count() for m in fmasks)
-    if fmasks and budget <= 60000:
-        faces = set()
-        for m in fmasks:
-            sub = m
-            while sub:
-                faces.add(sub)
-                sub = (sub - 1) & m
-        top = max(m.bit_count() for m in fmasks)
-        deg = [[0] * (top + 1) for _ in range(k)]
-        for f in faces:
+    k = cx.ground_size
+    budget = sum(1 << m.bit_count() for m in cx.masks)
+    if cx.masks and budget <= 60000:
+        deg = [[0] * (cx.dimension() + 2) for _ in range(k)]
+        for f in cx._face_set():
             s = f.bit_count()
             rem = f
             while rem:
@@ -478,13 +473,9 @@ def _initial_colors(k: int, fmasks: list[int]) -> list:
                 rem ^= low
         return [tuple(d) for d in deg]
     prof: list[list[int]] = [[] for _ in range(k)]
-    for m in fmasks:
-        s = m.bit_count()
-        rem = m
-        while rem:
-            low = rem & -rem
-            prof[low.bit_length() - 1].append(s)
-            rem ^= low
+    for m in cx.masks:
+        for v in _mask_elements(m):
+            prof[v - 1].append(m.bit_count())
     return [tuple(sorted(p)) for p in prof]
 
 
@@ -507,15 +498,14 @@ def _canonical_connected(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple]
     search gives.
     """
     k = cx.ground_size
-    fmasks = [f.mask for f in cx.facets]
-    nf = len(fmasks)
-    members = [tuple(b - 1 for b in _mask_elements(m)) for m in fmasks]
+    nf = len(cx.masks)
+    members = [tuple(b - 1 for b in _mask_elements(m)) for m in cx.masks]
     incident: list[list[int]] = [[] for _ in range(k)]
     for fi, mem in enumerate(members):
         for v in mem:
             incident[v].append(fi)
 
-    init = _initial_colors(k, fmasks)
+    init = _initial_colors(cx)
     order = sorted(set(init))
     rank = {val: i for i, val in enumerate(order)}
     cells: list[list[int]] = [[] for _ in order]
@@ -655,8 +645,7 @@ def _canonical(cx: SimplicialComplex) -> tuple[CanonicalForm, tuple[int, ...]]:
         for _, els in enc:
             out_masks.append(sum(1 << (offset + e - 1) for e in els))
         offset += g
-    out_facets = tuple(VertexSet.from_mask(m) for m in sorted(out_masks, key=_mask_key))
-    return CanonicalForm(n, out_facets, False), tuple(labeling)
+    return CanonicalForm(n, tuple(sorted(out_masks, key=_mask_key))), tuple(labeling)
 
 
 def canonical_form(cx: SimplicialComplex) -> CanonicalForm:
@@ -682,7 +671,5 @@ def are_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> VertexBijectio
     fb, lb = _canonical(b)
     if fa != fb:
         return None
-    inv_b = [0] * b.ground_size
-    for v, img in enumerate(lb, start=1):
-        inv_b[img - 1] = v
-    return VertexBijection(tuple(inv_b[la[v - 1] - 1] for v in range(1, a.ground_size + 1)))
+    inv_b = VertexBijection(lb).inverse().mapping
+    return VertexBijection(tuple(inv_b[img - 1] for img in la))

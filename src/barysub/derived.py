@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import MAX_GROUND, SimplicialComplex, VertexSet, _antichain_complex, void_complex
+from .core import (MAX_GROUND, SimplicialComplex, VertexSet, _antichain_complex, _mask_elements,
+                   void_complex)
 from .errors import EmptyInput, GroundSetTooLarge, VoidComplex
 
 
@@ -38,7 +39,7 @@ class FaceLabeling:
 def _require_subdividable(cx: SimplicialComplex) -> None:
     if cx.void:
         raise VoidComplex("the void complex has no face to subdivide")
-    if not cx.facets:
+    if not cx.masks:
         raise EmptyInput("the empty complex has no vertex to subdivide")
 
 
@@ -58,8 +59,8 @@ def barycentric_subdivision(cx: SimplicialComplex) -> tuple[SimplicialComplex, F
         )
     index = {f.mask: i + 1 for i, f in enumerate(faces)}
     chains = set()
-    for facet in cx.facets:
-        for order in permutations(facet.elements):
+    for facet in cx.masks:
+        for order in permutations(_mask_elements(facet)):
             prefix = 0
             chain = 0
             for v in order:
@@ -101,7 +102,7 @@ def complement_complex(cx: SimplicialComplex) -> SimplicialComplex:
         return void_complex(cx.ground_size)
     full = cx.full_mask
     # the empty complex's one facet is ∅, whose complement is the full set
-    return _antichain_complex(cx.ground_size, [full & ~f.mask for f in cx.facets] or [full])
+    return _antichain_complex(cx.ground_size, [full & ~m for m in cx.masks] or [full])
 
 
 def stanley_reisner_generators(cx: SimplicialComplex) -> list[VertexSet]:
@@ -117,6 +118,6 @@ def facet_ideal_generators(cx: SimplicialComplex) -> list[VertexSet]:
     """
     if cx.void:
         return []
-    if not cx.facets:
+    if not cx.masks:
         return [VertexSet.from_mask(0)]
     return list(cx.facets)

@@ -47,7 +47,9 @@ class LabeledGraph:
             i, j = e
             if not (0 <= i < j < self.vertex_count):
                 raise ValueError(f"edge {e!r} invalid for {self.vertex_count} vertices")
-            if prev is not None and e <= prev:
+            if e == prev:
+                raise ValueError(f"edge {list(e)} listed twice")
+            if prev is not None and e < prev:
                 raise ValueError("edges must be strictly sorted")
             prev = e
         if self.labels is not None and len(self.labels) != self.vertex_count:
@@ -125,8 +127,8 @@ def independence_complex(g: LabeledGraph) -> SimplicialComplex:
 def one_skeleton_graph(cx: SimplicialComplex) -> LabeledGraph:
     """The 1-skeleton as a graph on all ground positions (vertex i-1 is position i)."""
     edges = set()
-    for f in cx.facets:
-        for a, b in combinations(f.elements, 2):
+    for m in cx.masks:
+        for a, b in combinations(_mask_elements(m), 2):
             edges.add((a - 1, b - 1))
     return LabeledGraph(cx.ground_size, tuple(sorted(edges)))
 
@@ -141,7 +143,7 @@ def comparability_graph(cx: SimplicialComplex) -> LabeledGraph:
     """
     if cx.void:
         raise VoidComplex("the void complex has no face poset")
-    if not cx.facets:
+    if not cx.masks:
         raise EmptyInput("the empty complex has no face poset")
     faces = cx.faces()
     # (cardinality, lex) order: for i < j only faces[i] can lie in faces[j]

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 
-from .core import SimplicialComplex, VertexSet, complex_from_facets, void_complex
+from .core import (MAX_GROUND, SimplicialComplex, VertexSet, _generated_complex, _mask_elements,
+                   void_complex)
 from .derived import FaceLabeling
 from .errors import GroundSetTooLarge
 from .graphs import LabeledGraph
@@ -23,7 +24,7 @@ MAX_GRAPH_VERTICES = 4096
 def complex_to_obj(cx: SimplicialComplex) -> dict:
     obj = {
         "ground_set": cx.ground_size,
-        "facets": [list(f.elements) for f in cx.facets],
+        "facets": [list(_mask_elements(m)) for m in cx.masks],
     }
     if cx.void:
         obj["void"] = True
@@ -54,16 +55,22 @@ def complex_from_obj(obj) -> SimplicialComplex:
         if facets:
             raise ValueError("void complex cannot list facets")
         return void_complex(n)
-    return complex_from_facets(n, [_vertex_list(f) for f in facets])
+    return _generated_complex(n, [_vertex_mask(f) for f in facets])
 
 
-def _vertex_list(entries) -> VertexSet:
+def _vertex_mask(entries) -> int:
+    # One walk: a non-integer raises at once, so it beats any vertex outside
+    # 1..64, which only sets bit 64; VertexSet then names the first of those.
     if not isinstance(entries, list):
         raise ValueError(f"vertex set {entries!r} must be a list")
+    mask = 0
     for v in entries:
-        if not _is_int(v):
+        if type(v) is not int and not _is_int(v):
             raise ValueError(f"vertex {v!r} in vertex set {entries!r} must be an integer")
-    return VertexSet(entries)
+        mask |= 1 << (v - 1) if 1 <= v <= MAX_GROUND else 1 << MAX_GROUND
+    if mask >> MAX_GROUND:
+        VertexSet(entries)  # raises ValueError
+    return mask
 
 
 def labeling_to_obj(lab: FaceLabeling) -> dict:
@@ -73,7 +80,7 @@ def labeling_to_obj(lab: FaceLabeling) -> dict:
 def labeling_from_obj(obj) -> FaceLabeling:
     if not isinstance(obj, dict) or not isinstance(obj.get("vertices"), list):
         raise ValueError("labeling JSON must carry a vertices list")
-    return FaceLabeling(tuple(_vertex_list(f) for f in obj["vertices"]))
+    return FaceLabeling(tuple(VertexSet.from_mask(_vertex_mask(f)) for f in obj["vertices"]))
 
 
 def graph_to_obj(g: LabeledGraph) -> dict:
@@ -101,7 +108,9 @@ def graph_from_obj(obj) -> LabeledGraph:
         raise GroundSetTooLarge(
             f"graph with {count} vertices exceeds the {MAX_GRAPH_VERTICES}-vertex cap"
         )
-    labels = None if _is_int(vertices) else tuple(_vertex_list(f) for f in vertices)
+    labels = None
+    if not _is_int(vertices):
+        labels = tuple(VertexSet.from_mask(_vertex_mask(f)) for f in vertices)
     pairs = []
     for e in edges:
         if (

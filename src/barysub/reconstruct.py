@@ -221,7 +221,7 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     source_map: list[int] = []
     offset = 0
     for cx, sources in picked:
-        masks.extend(f.mask << offset for f in cx.facets)
+        masks.extend(m << offset for m in cx.masks)
         source_map.extend(sources)
         offset += cx.ground_size
     merged = _antichain_complex(ground, masks)

@@ -117,7 +117,7 @@ def _unpruned_canonical_connected(c: SimplicialComplex):
     for fi, mem in enumerate(members):
         for v in mem:
             incident[v].append(fi)
-    init = _initial_colors(k, [f.mask for f in c.facets])
+    init = _initial_colors(c)
     cells = [[v for v in range(k) if init[v] == val] for val in sorted(set(init))]
 
     def refine(cells):

@@ -279,6 +279,15 @@ def test_facet_outside_ground_set_is_named_as_a_list(capsys, tmp_path):
     )
 
 
+def test_repeated_edge_is_named(capsys, tmp_path):
+    src = tmp_path / "twice.json"
+    src.write_text('{"vertices": 3, "edges": [[1, 2], [0, 1], [0, 1]]}')
+    for op in ("reconstruct", "check-comparability"):
+        code, out, err = run(capsys, op, str(src))
+        assert code == 2 and out == ""
+        assert err == '{"error": "ValueError", "message": "edge [0, 1] listed twice"}\n'
+
+
 def test_oversized_ground_set_exits_2(capsys, tmp_path):
     src = tmp_path / "huge.json"
     for ground, facets in [(10**20, [[1]]), (4_000_000_000, [])]:

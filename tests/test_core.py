@@ -12,6 +12,7 @@ import helpers
 from helpers import cx, facet_sets
 
 from barysub import (
+    CanonicalForm,
     EmptyInput,
     GroundSetTooLarge,
     SkeletonIndexOutOfRange,
@@ -118,6 +119,7 @@ def test_oversized_ground_set_is_refused_without_building_its_mask():
 
 
 def _assert_facet_antichain(c):
+    assert c.facets == tuple(VertexSet.from_mask(m) for m in c.masks)
     for f, g in zip(c.facets, c.facets[1:]):
         assert f.sort_key < g.sort_key
     for i, f in enumerate(c.facets):
@@ -126,7 +128,10 @@ def _assert_facet_antichain(c):
                 assert not f.issubset(g)
     if not c.void:
         # normalizing the stored facets again changes nothing
-        assert complex_from_facets(c.ground_size, c.facets) == c
+        again = complex_from_facets(c.ground_size, c.facets)
+        assert (again.ground_size, again.masks) == (c.ground_size, c.masks)
+    if not isinstance(c, CanonicalForm):
+        _assert_facet_antichain(canonical_form(c))
 
 
 def _derived_complexes(c, rng):
@@ -176,22 +181,25 @@ def test_facet_antichain_invariant():
 
 
 def test_constructor_checks_its_facets():
-    v = VertexSet.from_mask
-    for n, facets, void, message in [
-        (3, (v(1),), True, "void complex cannot carry facets"),
-        (3, ((1, 2),), False, "facet (1, 2) invalid over ground size 3"),
-        (3, (v(0),), False, "facet VertexSet(()) invalid over ground size 3"),
-        (3, (v(0b1000),), False, "facet VertexSet((4,)) invalid over ground size 3"),
-        (3, (v(1), v(1)), False, "facets must be strictly sorted by (size, lex)"),
-        (3, (v(2), v(1)), False, "facets must be strictly sorted by (size, lex)"),
-        (3, (v(3), v(1)), False, "facets must be strictly sorted by (size, lex)"),
-        (3, (v(0b110), v(0b101)), False, "facets must be strictly sorted by (size, lex)"),
+    # The constructor takes the facet masks themselves, sorted by (size, lex).
+    for n, masks, void, message in [
+        (3, (1,), True, "void complex cannot carry facets"),
+        (3, ((1, 2),), False, "facet mask (1, 2) invalid over ground size 3"),
+        (3, (True,), False, "facet mask True invalid over ground size 3"),
+        (3, (VertexSet([1]),), False, "facet mask VertexSet((1,)) invalid over ground size 3"),
+        (3, (0,), False, "facet mask 0 invalid over ground size 3"),
+        (3, (0b1000,), False, "facet mask 8 invalid over ground size 3"),
+        (3, (1, 1), False, "facets must be strictly sorted by (size, lex)"),
+        (3, (2, 1), False, "facets must be strictly sorted by (size, lex)"),
+        (3, (3, 1), False, "facets must be strictly sorted by (size, lex)"),
+        (3, (0b110, 0b101), False, "facets must be strictly sorted by (size, lex)"),
     ]:
         with pytest.raises(ValueError) as info:
-            SimplicialComplex(n, facets, void)
+            SimplicialComplex(n, masks, void)
         assert type(info.value) is ValueError
         assert str(info.value) == message
-    assert SimplicialComplex(3, (v(2), v(0b101))) == cx(3, (2,), (1, 3))
+    assert SimplicialComplex(3, (2, 0b101)) == cx(3, (2,), (1, 3))
+    assert SimplicialComplex(3, (2, 0b101)).facets == (VertexSet([2]), VertexSet([1, 3]))
 
 
 def test_faces_triangle_boundary():

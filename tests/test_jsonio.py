@@ -97,6 +97,31 @@ def test_complex_from_obj_wants_strict_integers(bad, named):
         complex_from_obj(bad)
 
 
+@pytest.mark.parametrize("read,obj,message", [
+    # within one vertex list a non-integer is named before a vertex out of range
+    (complex_from_obj, {"ground_set": 3, "facets": [[70, "a"]]},
+     "vertex 'a' in vertex set [70, 'a'] must be an integer"),
+    # facets are checked in order
+    (complex_from_obj, {"ground_set": 3, "facets": [[5], ["a"]]},
+     "vertex 'a' in vertex set ['a'] must be an integer"),
+    (complex_from_obj, {"ground_set": 3, "facets": [[70], ["a"]]}, "vertex 70 outside 1..64"),
+    # a vertex outside 1..64 in any facet beats a facet outside the ground set
+    (complex_from_obj, {"ground_set": 3, "facets": [[5], [70]]}, "vertex 70 outside 1..64"),
+    (complex_from_obj, {"ground_set": 100, "facets": [[70]]}, "vertex 70 outside 1..64"),
+    (complex_from_obj, {"ground_set": 0, "facets": [[70]]}, "vertex 70 outside 1..64"),
+    (complex_from_obj, {"ground_set": 3, "facets": [[-1]]}, "vertex -1 outside 1..64"),
+    (complex_from_obj, {"ground_set": 3, "facets": [[1, 2], 3]}, "vertex set 3 must be a list"),
+    (graph_from_obj, {"vertices": [[70]], "edges": []}, "vertex 70 outside 1..64"),
+    (labeling_from_obj, {"vertices": [[1], [70, "a"]]},
+     "vertex 'a' in vertex set [70, 'a'] must be an integer"),
+])
+def test_vertex_list_errors_name_the_first_fault(read, obj, message):
+    with pytest.raises(ValueError) as info:
+        read(obj)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 def test_complex_from_obj_negative_ground_set_is_refused_like_zero():
     for n in (0, -1):
         with pytest.raises(ValueError, match="outside ground set"):

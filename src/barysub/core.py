@@ -31,19 +31,12 @@ def _mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mask_components(adj: list[int]) -> list[int]:
-    """Connected components of the graph whose vertex v has neighbour mask adj[v].
+def induced_components(adj, left: int) -> list[int]:
+    """Connected components of the subgraph induced on the vertex mask ``left``.
 
-    Vertices are 0-based here. Each component is returned as a vertex mask,
-    grown from its least vertex by OR-ing in the neighbour masks of the
-    newly reached vertices; components come in order of least vertex.
-    """
-    return induced_components(adj, (1 << len(adj)) - 1)
-
-
-def induced_components(adj: list[int], left: int) -> list[int]:
-    """``mask_components`` of the subgraph induced on the vertex mask ``left``.
-
+    ``adj[v]`` is the neighbour mask of vertex v (0-based). Each component
+    is a vertex mask grown from its least vertex by OR-ing in the neighbour
+    masks of newly reached vertices; they come in order of least vertex.
     Neighbour masks may reach outside ``left`` (or be negative, as the
     complement masks ``~adj[v]`` are); only their bits inside it count.
     """
@@ -305,14 +298,8 @@ class SimplicialComplex:
         return _antichain_complex(self.ground_size, keep)
 
     def _vertex_partition(self) -> list[int]:
-        # Components of the 1-skeleton as vertex masks (bit v-1 is vertex v):
-        # every facet is a clique, so a vertex's neighbours are the union of
-        # the facets holding it.
-        adj = [0] * self.ground_size
-        for m in self.masks:
-            for v in _mask_elements(m):
-                adj[v - 1] |= m
-        return mask_components(adj)
+        # Components of the 1-skeleton as vertex masks (bit v-1 is vertex v).
+        return induced_components(_skeleton_adjacency(self), self.full_mask)
 
     def is_connected(self) -> bool:
         """Connectivity of the 1-skeleton on all ground positions."""
@@ -338,6 +325,15 @@ class SimplicialComplex:
             local = [sum(bit[v] for v in _mask_elements(m)) for m in self.masks if m & ~gmask == 0]
             out.append(Component(_antichain_complex(k, local), group))
         return out
+
+
+def _skeleton_adjacency(cx: SimplicialComplex) -> list[int]:
+    """Neighbour masks of the 1-skeleton: entry v-1 is the union of the facets holding v."""
+    adj = [0] * cx.ground_size
+    for m in cx.masks:
+        for v in _mask_elements(m):
+            adj[v - 1] |= m
+    return adj
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,22 @@
 """Finite graphs, clique complexes, posets, and transitive orientation enumeration.
 
 Vertices are 0-based integers; edges are sorted (i, j) pairs with i < j.
-Adjacency is kept as one bit mask per vertex, which Python integers make
-size-free, so graphs may exceed the 64-element complex cap; only the ops
-that build complexes enforce it. Maximal cliques, the implication classes
-of the transitive-orientation search (grown by Γ-forcing) and its
-directed-triangle test on arc masks all work on those masks. A transitive
-orientation is a strict order, so the search returns each one as a
-``FacePoset``: one up-set mask per vertex, its arc masks at a leaf. The
-same class phase alone decides orientability, and the number of
-orientations is Gallai's product over the modular decomposition, whose
-components, co-components and prime-node modules (by partition refinement)
-are found on the same masks.
+``LabeledGraph.adj`` keeps one neighbour bit mask per vertex, which Python
+integers make size-free, so graphs may exceed the 64-element complex cap;
+only the ops that build complexes enforce it. The complement, maximal
+cliques, the implication classes of the transitive-orientation search
+(grown by Γ-forcing) and its directed-triangle test on arc masks all work
+on those masks. A transitive orientation is a strict order, so the search
+returns each one as a ``FacePoset``: one up-set mask per vertex, its arc
+masks at a leaf. The same class phase alone decides orientability, and the
+number of orientations is Gallai's product over the modular decomposition,
+whose components, co-components and prime-node modules (by partition
+refinement) are found on the same masks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
@@ -26,6 +27,7 @@ from .core import (
     VertexSet,
     _antichain_complex,
     _mask_elements,
+    _skeleton_adjacency,
     induced_components,
 )
 from .errors import EmptyInput, GroundSetTooLarge, VoidComplex
@@ -55,28 +57,25 @@ class LabeledGraph:
         if self.labels is not None and len(self.labels) != self.vertex_count:
             raise ValueError("one label per vertex required")
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-
-def _adjacency(g: LabeledGraph) -> list[int]:
-    adj = [0] * g.vertex_count
-    for i, j in g.edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return adj
+    @functools.cached_property
+    def adj(self) -> tuple[int, ...]:
+        """Each vertex's neighbour bit mask, built from the edges on first read."""
+        adj = [0] * self.vertex_count
+        for i, j in self.edges:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return tuple(adj)
 
 
 def graph_complement(g: LabeledGraph) -> LabeledGraph:
-    present = set(g.edges)
+    n, adj = g.vertex_count, g.adj
     edges = tuple(
-        e for e in combinations(range(g.vertex_count), 2) if e not in present
+        (i, j) for i in range(n) for j in range(i + 1, n) if not adj[i] >> j & 1
     )
-    return LabeledGraph(g.vertex_count, edges, g.labels)
+    return LabeledGraph(n, edges, g.labels)
 
 
-def _maximal_cliques(adj: list[int], n: int) -> list[int]:
+def _maximal_cliques(adj: tuple[int, ...], n: int) -> list[int]:
     # Bron-Kerbosch with pivoting on adjacency masks.
     out: list[int] = []
 
@@ -116,7 +115,7 @@ def clique_complex(g: LabeledGraph) -> SimplicialComplex:
         raise EmptyInput("clique complex needs at least one vertex")
     if n > MAX_GROUND:
         raise GroundSetTooLarge(f"{n} vertices exceed the {MAX_GROUND}-element cap")
-    return _antichain_complex(n, _maximal_cliques(_adjacency(g), n))
+    return _antichain_complex(n, _maximal_cliques(g.adj, n))
 
 
 def independence_complex(g: LabeledGraph) -> SimplicialComplex:
@@ -126,11 +125,12 @@ def independence_complex(g: LabeledGraph) -> SimplicialComplex:
 
 def one_skeleton_graph(cx: SimplicialComplex) -> LabeledGraph:
     """The 1-skeleton as a graph on all ground positions (vertex i-1 is position i)."""
-    edges = set()
-    for m in cx.masks:
-        for a, b in combinations(_mask_elements(m), 2):
-            edges.add((a - 1, b - 1))
-    return LabeledGraph(cx.ground_size, tuple(sorted(edges)))
+    edges = tuple(
+        (i, j - 1)
+        for i, a in enumerate(_skeleton_adjacency(cx))
+        for j in _mask_elements(a >> (i + 1) << (i + 1))
+    )
+    return LabeledGraph(cx.ground_size, edges)
 
 
 def comparability_graph(cx: SimplicialComplex) -> LabeledGraph:
@@ -248,13 +248,14 @@ class FacePoset:
         return tuple(v for v, m in zip(self.elements, self.up) if not m)
 
 
-def _implication_classes(g: LabeledGraph, adj: list[int]) -> list[list[tuple[int, int]]] | None:
+def _implication_classes(g: LabeledGraph) -> list[list[tuple[int, int]]] | None:
     """The arc implication classes of g, each as its side-0 arcs (tail, head).
 
     None when some class holds both directions of an edge, which happens
     exactly when g is not a comparability graph (Golumbic 1980, ch. 5).
     """
     n = g.vertex_count
+    adj = g.adj
     # Implication classes by Γ-forcing: arc a->b forces a->c for every c
     # adjacent to a but not to b, and c->b for every c adjacent to b but not
     # to a. Each class grows from the first edge not yet in a class,
@@ -308,7 +309,7 @@ def transitive_orientations(g: LabeledGraph) -> list[FacePoset]:
     length of the result without the search.
     """
     n = g.vertex_count
-    classes = _implication_classes(g, _adjacency(g))
+    classes = _implication_classes(g)
     if classes is None:
         return []
     # sides[p]: class p's arcs as (tail, head), side 0 then side 1
@@ -343,7 +344,7 @@ def transitive_orientations(g: LabeledGraph) -> list[FacePoset]:
 
 def is_transitively_orientable(g: LabeledGraph) -> bool:
     """Whether g is a comparability graph, decided by the implication classes alone."""
-    return _implication_classes(g, _adjacency(g)) is not None
+    return _implication_classes(g) is not None
 
 
 def count_transitive_orientations(g: LabeledGraph) -> int:
@@ -357,9 +358,9 @@ def count_transitive_orientations(g: LabeledGraph) -> int:
     contributes 2, the two orientations of its quotient. The tree is walked
     with an explicit stack of vertex masks, so its depth costs no recursion.
     """
-    adj = _adjacency(g)
-    if _implication_classes(g, adj) is None:
+    if _implication_classes(g) is None:
         return 0
+    adj = g.adj
     co = [~a for a in adj]
     count = 1
     todo = [(1 << g.vertex_count) - 1]
@@ -379,7 +380,7 @@ def count_transitive_orientations(g: LabeledGraph) -> int:
     return count
 
 
-def _prime_children(adj: list[int], s: int) -> list[int]:
+def _prime_children(adj: tuple[int, ...], s: int) -> list[int]:
     """The maximal strong modules of a prime node s, as vertex masks.
 
     Partition refinement from the least vertex v of s gives the maximal

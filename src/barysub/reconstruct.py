@@ -10,18 +10,19 @@ exactly for the boundary-of-simplex family, where the poset and its
 reversal both arise from complexes).
 
 Graphs and posets live on int bit masks. The graph splits into components
-by OR-ing adjacency masks (``core.mask_components``), and the orientation
+by OR-ing its adjacency masks (``LabeledGraph.adj``), and the orientation
 search returns each order as a ``FacePoset`` (one up-set mask per element),
 so the source-set images and the face-family check are word operations on
 Python integers, with no cap on the element count.
 
-A component with true twins (two vertices with the same closed
-neighbourhood) is refused before any orientation is enumerated. No face
-poset has them: for faces a ⊊ b, a vertex w of b outside a gives the face
-{w}, comparable to b but not to a; incomparable faces are not adjacent. So
-every orientation of such a component fails the face-poset check, and
-their number comes from the modular decomposition
-(``graphs.count_transitive_orientations``) instead of the search.
+A component with twins is refused before any orientation is enumerated.
+True twins (the same closed neighbourhood) are adjacent, so as faces
+a ⊊ b, and the face {w} of a vertex w in b - a sees b but not a. False
+twins (the same open neighbourhood, so not adjacent) are single vertices:
+were |f| >= 2, each {v} ⊊ f would see the twin g, making f ⊊ g; and single
+vertices are never adjacent. So every orientation of such a component
+fails the face-poset check, and their number comes from the modular
+decomposition (``graphs.count_transitive_orientations``), not the search.
 """
 
 from __future__ import annotations
@@ -34,14 +35,13 @@ from .core import (
     _antichain_complex,
     _mask_elements,
     canonical_form,
-    mask_components,
+    induced_components,
 )
 from .errors import EmptyInput, GroundSetTooLarge, NotAFacePoset, NotTransitive
 from .graphs import (
     FacePoset,
     LabeledGraph,
     Orientation,
-    _adjacency,
     clique_complex,
     count_transitive_orientations,
     one_skeleton_graph,
@@ -134,7 +134,7 @@ class ReconstructionReport:
     ``status`` is "ok", "not_orientable", "not_face_poset" or "not_flag";
     ``complex`` is the recovered complex when ok, else None;
     ``orientations_tried`` counts the transitive orientations examined over
-    all components. For a component refused for true twins the orientations
+    all components. For a component refused for twins the orientations
     are counted by the modular decomposition, not enumerated; the number is
     the same, since each of them would fail the face-poset check.
     ``both_orientations_admissible`` says whether some
@@ -155,14 +155,15 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
 
     Works per connected component: enumerate transitive orientations, keep
     those whose poset is a face poset, and take the disjoint union of the
-    first survivor of each component. A component with true twins has no
-    survivor, so it is refused at once with its orientation count. When a
-    component has two or more survivors, their canonical forms must agree
-    (the rigidity self-check); a single survivor needs no canonical form.
-    Fails with "not_orientable" when some component has no transitive
-    orientation and "not_face_poset" when none of a component's orientations
-    is a face poset. Raises GroundSetTooLarge when every component succeeds
-    but their sources add up to more than the 64-element cap.
+    first survivor of each component. A component with true twins or
+    adjacent false twins has no survivor, so it is refused at once with its
+    orientation count. When a component has two or more survivors, their
+    canonical forms must agree (the rigidity self-check); a single survivor
+    needs no canonical form. Fails with "not_orientable" when some component
+    has no transitive orientation and "not_face_poset" when none of a
+    component's orientations is a face poset. Raises GroundSetTooLarge when
+    every component succeeds but their sources add up to more than the
+    64-element cap.
     """
     if g.vertex_count == 0:
         raise EmptyInput("graph has no vertices")
@@ -170,8 +171,8 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     any_double = False
     picked: list[tuple[SimplicialComplex, tuple[int, ...]]] = []
     status = STATUS_OK
-    adj = _adjacency(g)
-    for comp in mask_components(adj):
+    adj = g.adj
+    for comp in induced_components(adj, (1 << g.vertex_count) - 1):
         verts = [v - 1 for v in _mask_elements(comp)]
         index = {v: k for k, v in enumerate(verts)}
         # a component is closed under edges: its subgraph is, for each of its
@@ -181,8 +182,13 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
             for k, i in enumerate(verts)
             for j in _mask_elements(adj[i] >> (i + 1) << (i + 1))
         ))
-        if len({adj[v] | 1 << v for v in verts}) < len(verts):
-            # true twins: no face poset has them, so every orientation fails
+        groups: dict[int, int] = {}  # open neighbourhood -> its vertices
+        for v in verts:
+            groups[adj[v]] = groups.get(adj[v], 0) | 1 << v
+        twinned = sum(m for m in groups.values() if m & (m - 1))
+        if len({adj[v] | 1 << v for v in verts}) < len(verts) or any(
+                adj[v - 1] & twinned for v in _mask_elements(twinned)):
+            # true twins, or adjacent false twins: every orientation fails
             k = count_transitive_orientations(sub)
             tried += k
             status = STATUS_NOT_FACE_POSET if k else STATUS_NOT_ORIENTABLE

@@ -143,11 +143,7 @@ def graph_canonical_form(g: LabeledGraph):
 
 def _graph_invariant(g: LabeledGraph) -> tuple:
     # Cheap prescreen: vertex count plus sorted degree sequence.
-    deg = [0] * g.vertex_count
-    for i, j in g.edges:
-        deg[i] += 1
-        deg[j] += 1
-    return (g.vertex_count, len(g.edges), tuple(sorted(deg)))
+    return (g.vertex_count, len(g.edges), tuple(sorted(a.bit_count() for a in g.adj)))
 
 
 def graphs_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:

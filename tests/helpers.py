@@ -31,8 +31,7 @@ from barysub import (
     enumerate_complexes,
     transitive_orientations,
 )
-from barysub.core import _initial_colors, _mask_elements, mask_components
-from barysub.graphs import _adjacency
+from barysub.core import _initial_colors, _mask_elements, induced_components
 
 
 def mask_of(elems) -> int:
@@ -482,7 +481,7 @@ def universe_through(n_max: int, up_to_iso: bool = True):
 
 
 def unfiltered_reconstruct(g: LabeledGraph) -> ReconstructionReport:
-    """``reconstruct_from_comparability_graph`` without the true-twin prefilter.
+    """``reconstruct_from_comparability_graph`` without the twin prefilter.
 
     Every component enumerates all its transitive orientations and tries
     each on the face-poset check, so ``orientations_tried`` is a count of
@@ -495,7 +494,7 @@ def unfiltered_reconstruct(g: LabeledGraph) -> ReconstructionReport:
     any_double = False
     picked = []
     status = STATUS_OK
-    for comp in mask_components(_adjacency(g)):
+    for comp in induced_components(g.adj, (1 << g.vertex_count) - 1):
         verts = [v - 1 for v in _mask_elements(comp)]
         index = {v: k for k, v in enumerate(verts)}
         sub = LabeledGraph(

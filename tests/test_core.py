@@ -15,6 +15,7 @@ from barysub import (
     CanonicalForm,
     EmptyInput,
     GroundSetTooLarge,
+    LabeledGraph,
     SkeletonIndexOutOfRange,
     SimplicialComplex,
     VertexBijection,
@@ -28,7 +29,7 @@ from barysub import (
     relabel_complex,
     void_complex,
 )
-from barysub.core import _mask_key, mask_components
+from barysub.core import _mask_key, induced_components
 from barysub.derived import alexander_dual, barycentric_subdivision, complement_complex
 from barysub.errors import NotAFacePoset
 from barysub.graphs import clique_complex, comparability_graph, transitive_orientations
@@ -361,7 +362,8 @@ def _vertex_mask(vertices) -> int:
 
 
 def test_mask_components_match_breadth_first_search():
-    assert mask_components([]) == []
+    assert induced_components([], 0) == []
+    assert LabeledGraph(0, ()).adj == ()
     rng = random.Random(113)
     for _ in range(400):
         n = rng.randint(1, 40)
@@ -370,8 +372,9 @@ def test_mask_components_match_breadth_first_search():
         for i, j in g.edges:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
+        assert g.adj == tuple(adj), g
         expected = helpers.brute_components(n, g.edges)
-        assert mask_components(adj) == [_vertex_mask(c) for c in expected], g
+        assert induced_components(adj, (1 << n) - 1) == [_vertex_mask(c) for c in expected], g
 
 
 def test_vertex_partition_matches_breadth_first_search():

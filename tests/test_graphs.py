@@ -20,6 +20,7 @@ from barysub import (
     barycentric_subdivision,
     clique_complex,
     comparability_graph,
+    complex_from_facets,
     count_transitive_orientations,
     empty_complex,
     full_simplex,
@@ -68,6 +69,14 @@ def test_graph_complement():
         assert len(g.edges) + len(graph_complement(g).edges) == (
             g.vertex_count * (g.vertex_count - 1) // 2
         )
+    # against the brute-force edge set, from empty to complete graphs
+    for _ in range(200):
+        n = rng.randint(0, 20)
+        g = helpers.random_graph(rng, n, rng.choice([0.0, 0.1, 0.5, 0.9, 1.0]))
+        want = set(combinations(range(n), 2)) - set(g.edges)
+        assert graph_complement(g).edges == tuple(sorted(want)), g
+    labelled = comparability_graph(cx(2, (1, 2)))
+    assert graph_complement(labelled) == LabeledGraph(3, ((0, 1),), labelled.labels)
 
 
 def test_clique_complex_pinned():
@@ -126,6 +135,23 @@ def test_one_skeleton_graph():
     # uncovered ground vertices appear as isolated graph vertices
     g = one_skeleton_graph(cx(3, (1, 2)))
     assert g.vertex_count == 3 and g.edges == ((0, 1),)
+    assert one_skeleton_graph(full_simplex(64)).edges == tuple(combinations(range(64), 2))
+    # against the brute-force edge set, on random complexes whose facets may
+    # leave ground vertices uncovered, and on void and empty complexes
+    rng = random.Random(157)
+    cases = [void_complex(4), empty_complex(3)]
+    for _ in range(300):
+        n = rng.randint(1, 24)
+        facets = [
+            rng.sample(range(1, n + 1), rng.randint(1, min(n, 6)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        cases.append(complex_from_facets(n, facets))
+    assert sum(not c.has_all_vertices and bool(c.masks) for c in cases) > 100
+    for c in cases:
+        want = {(a - 1, b - 1) for f in c.facets for a, b in combinations(f.elements, 2)}
+        g = one_skeleton_graph(c)
+        assert g.vertex_count == c.ground_size and g.edges == tuple(sorted(want)), c
 
 
 def test_comparability_graph_of_triangle_boundary_is_hexagon():

@@ -30,6 +30,7 @@ from barysub import (
     clique_complex,
     comparability_graph,
     complex_from_face_poset,
+    count_transitive_orientations,
     empty_complex,
     full_simplex,
     graph_complement,
@@ -572,3 +573,13 @@ def test_twin_components_are_refused_without_enumeration(monkeypatch):
     )
     r = reconstruct_from_comparability_graph(c5_twin)
     assert r == reconstruct_module.ReconstructionReport(STATUS_NOT_ORIENTABLE, None, 0, False)
+    # adjacent false twins and no true twins: cocktail parties up to 46 parts
+    # (46! orientations) and P_m[C4] up to 64 vertices
+    graphs = [helpers.cocktail_party(k) for k in range(2, 47)]
+    graphs += [helpers.module_path(m, helpers.cycle_graph(4)) for m in range(2, 17)]
+    for g in graphs:
+        assert not helpers.has_true_twins(g)
+        r = reconstruct_from_comparability_graph(g)
+        assert r == reconstruct_module.ReconstructionReport(
+            STATUS_NOT_FACE_POSET, None, count_transitive_orientations(g), False
+        ), g

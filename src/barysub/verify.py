@@ -7,17 +7,28 @@ universe the harnesses check, pair by pair, that the comparability graph
 of equivalent conditions (duals, complements, subdivisions, iterated
 subdivisions, comparability graphs, generator sets) holds or fails in
 lockstep.
+
+Where an explicit isomorphism is known, the harnesses check it instead of
+comparing canonical forms. Witness checks: the rigidity round trip (the
+reconstruction's source map) and every relabeled copy in both harnesses
+(the permutation and the face maps it induces). Canonical forms remain for
+the equivalence harness's member bundles and pair loop, and for rigidity's
+distinctness check, where they are computed only for members whose cheap
+graph invariant another member shares.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 import random
 
 from .core import (
     SimplicialComplex,
+    VertexBijection,
     _antichain_complex,
+    _mask_elements,
     are_isomorphic,
     canonical_form,
     relabel_complex,
@@ -31,7 +42,7 @@ from .derived import (
 )
 from .errors import EmptyInput, GroundSetTooLarge, UniverseTooLarge
 from .graphs import LabeledGraph, clique_complex, comparability_graph
-from .reconstruct import reconstruct_from_comparability_graph
+from .reconstruct import STATUS_OK, reconstruct_from_comparability_graph
 
 MAX_UNIVERSE_GROUND = 5
 RIGIDITY_MAX_VERTICES = 5
@@ -142,8 +153,15 @@ def graph_canonical_form(g: LabeledGraph):
 
 
 def _graph_invariant(g: LabeledGraph) -> tuple:
-    # Cheap prescreen: vertex count plus sorted degree sequence.
-    return (g.vertex_count, len(g.edges), tuple(sorted(a.bit_count() for a in g.adj)))
+    """Cheap isomorphism invariant: vertex and edge counts, then each vertex's
+    degree with its neighbours' sorted degrees (one round of neighbour-degree
+    refinement), sorted."""
+    adj = g.adj
+    deg = [a.bit_count() for a in adj]
+    return (g.vertex_count, len(g.edges), tuple(sorted(
+        (deg[v], tuple(sorted(deg[u - 1] for u in _mask_elements(a))))
+        for v, a in enumerate(adj)
+    )))
 
 
 def graphs_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:
@@ -167,6 +185,61 @@ def _check_cap(n: int, cap: int, harness: str) -> None:
         raise UniverseTooLarge(f"{harness} harness capped at {cap} vertices")
 
 
+def _face_map(src, dst, perm) -> list[int] | None:
+    """Where the vertex permutation ``perm`` (1-based images) sends each face
+    of ``src``: its image's position in ``dst``. None when that is not a
+    bijection. A permutation sends distinct faces to distinct faces, so equal
+    lengths and every image found make it one."""
+    at = {f.mask: k for k, f in enumerate(dst)}
+    bits = [1 << (img - 1) for img in perm]
+    fmap = [at.get(sum(bits[v - 1] for v in f.elements)) for f in src]
+    if len(src) != len(dst) or None in fmap:
+        return None
+    return fmap
+
+
+def _carries_edges(g: LabeledGraph, h: LabeledGraph, fmap: list[int] | None) -> bool:
+    """Whether the vertex bijection ``fmap`` carries g's edges exactly onto h's."""
+    if fmap is None:
+        return False
+    return {(min(fmap[a], fmap[b]), max(fmap[a], fmap[b])) for a, b in g.edges} == set(h.edges)
+
+
+def _carries_subdivision(s, sc, perm) -> tuple[int, ...] | None:
+    """The subdivision-vertex permutation that ``perm`` induces from the
+    subdivision ``s`` onto ``sc`` (each a (complex, FaceLabeling) pair), when
+    it carries s's complex exactly onto sc's; else None."""
+    fmap = _face_map(s[1].faces, sc[1].faces, perm)
+    if fmap is None:
+        return None
+    sigma = tuple(k + 1 for k in fmap)
+    return sigma if relabel_complex(s[0], sigma) == sc[0] else None
+
+
+def _round_trip_holds(cx: SimplicialComplex, g: LabeledGraph, rec) -> bool | None:
+    """Whether the reconstruction ``rec`` of g, the comparability graph of
+    cx, rebuilt cx, checked by its own witness: rebuilt vertex k goes to the
+    vertex of the face ``g.labels[rec.source_map[k-1]]``, and that map must
+    carry the rebuilt complex exactly onto cx. None when some such face is
+    not a singleton, so the source map names no vertex map."""
+    if rec.status != STATUS_OK:
+        return False
+    sources = [g.labels[v].mask for v in rec.source_map]
+    if any(m & (m - 1) for m in sources):
+        return None
+    witness = tuple(m.bit_length() for m in sources)
+    if sorted(witness) != list(range(1, cx.ground_size + 1)):
+        return False
+    return relabel_complex(rec.complex, witness) == cx
+
+
+def _counts_note(forms: int, tied: int, fallbacks: int) -> str:
+    return (
+        f"{forms} graph canonical forms computed, {tied} members in tied "
+        f"invariant groups, {fallbacks} round trips fell back to are_isomorphic"
+    )
+
+
 def verify_subdivision_rigidity(n: int) -> VerificationReport:
     """Check that the comparability graph determines the complex, for all of [n].
 
@@ -174,13 +247,24 @@ def verify_subdivision_rigidity(n: int) -> VerificationReport:
     non-isomorphic comparability graphs, every member must survive the
     reconstruction round trip, and a relabeled copy must keep an isomorphic
     graph (the positive direction of the biconditional).
+
+    The round trip and the copy are witness checks. The round trip reads a
+    vertex map off the reconstruction's source map and requires it to carry
+    the rebuilt complex exactly onto the member; it falls back to
+    ``are_isomorphic`` only when a source is not a vertex. The copy's
+    permutation induces a map on faces, which must carry the member's
+    comparability-graph edges exactly onto the copy's. Distinctness still
+    uses canonical forms, but only for members whose cheap graph invariant
+    another member shares; at n <= 5 there are none.
     """
     _check_cap(n, RIGIDITY_MAX_VERTICES, "rigidity")
     universe = enumerate_complexes(n, up_to_iso=True)
     report = VerificationReport(universe_size=len(universe), pair_checks=0)
     report.notes.append(
-        "graph isomorphism = canonical form of the clique complex, "
-        "after a degree-sequence prescreen"
+        "round trip and relabeled copy checked by explicit witnesses (the "
+        "reconstruction's source map, the face map a permutation induces); "
+        "distinct graphs told apart by degree and neighbour degrees, with "
+        "canonical forms of the clique complex only where that invariant ties"
     )
     report.notes.append(
         "pair checks = distinct unordered graph pairs + one reconstruction "
@@ -188,17 +272,27 @@ def verify_subdivision_rigidity(n: int) -> VerificationReport:
     )
     rng = random.Random(20260816 + n)
     graphs = [comparability_graph(cx) for cx in universe]
-    forms = [graph_canonical_form(g) for g in graphs]
+    invariants = [_graph_invariant(g) for g in graphs]
+    group_sizes = Counter(invariants)
+    tied = [k for k, inv in enumerate(invariants) if group_sizes[inv] > 1]
+    forms: list = [None] * len(universe)
+    for k in tied:
+        forms[k] = graph_canonical_form(graphs[k])
     report.pair_checks += len(universe) * (len(universe) - 1) // 2
     for i, j in _pairs_sharing_a_key(forms):
         report.failures.append(
             f"universe[{i}] and universe[{j}] are non-isomorphic but their "
             f"comparability graphs share a canonical form"
         )
+    fallbacks = 0
     for i, cx in enumerate(universe):
         report.pair_checks += 1
         rec = reconstruct_from_comparability_graph(graphs[i])
-        if rec.status != "ok" or rec.complex is None or are_isomorphic(rec.complex, cx) is None:
+        held = _round_trip_holds(cx, graphs[i], rec)
+        if held is None:
+            fallbacks += 1
+            held = are_isomorphic(rec.complex, cx) is not None
+        if not held:
             report.failures.append(
                 f"universe[{i}] failed the reconstruction round trip "
                 f"(status {rec.status})"
@@ -206,33 +300,68 @@ def verify_subdivision_rigidity(n: int) -> VerificationReport:
         report.pair_checks += 1
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
-        copy = relabel_complex(cx, tuple(perm))
-        if graph_canonical_form(comparability_graph(copy)) != forms[i]:
+        copy_graph = comparability_graph(relabel_complex(cx, tuple(perm)))
+        fmap = _face_map(graphs[i].labels, copy_graph.labels, perm)
+        if not _carries_edges(graphs[i], copy_graph, fmap):
             report.failures.append(
-                f"universe[{i}] relabeled by {perm} changed its graph's canonical form"
+                f"universe[{i}] relabeled by {perm}: the face map it induces "
+                f"does not carry the comparability graph onto the copy's"
             )
+    report.notes.append(_counts_note(len(tied), len(tied), fallbacks))
     return report
 
 
-def _equivalence_bundle(cx: SimplicialComplex):
-    """Canonical forms of all the equivalence-item transforms of one complex."""
-    sub, _ = barycentric_subdivision(cx)
+def _transforms(cx: SimplicialComplex) -> dict:
+    """The equivalence items' transforms of one complex. Subdivisions are
+    (complex, FaceLabeling) pairs; the second is None where the 64-element
+    cap blocks it."""
+    sub = barycentric_subdivision(cx)
     try:
-        sub2, _ = barycentric_subdivision(sub)
-        form_sub2 = canonical_form(sub2).sort_key
+        sub2 = barycentric_subdivision(sub[0])
     except GroundSetTooLarge:
-        form_sub2 = None
+        sub2 = None
+    return {
+        "dual": alexander_dual(cx),
+        "complement": complement_complex(cx),
+        "subdivision": sub,
+        "subdivision2": sub2,
+        "graph": comparability_graph(cx),
+    }
+
+
+def _equivalence_bundle(cx: SimplicialComplex, t: dict) -> dict:
+    """Canonical forms of a complex and of its transforms ``t``."""
     return {
         "complex": canonical_form(cx).sort_key,
-        "dual": canonical_form(alexander_dual(cx)).sort_key,
-        "complement": canonical_form(complement_complex(cx)).sort_key,
-        "subdivision": canonical_form(sub).sort_key,
-        "subdivision2": form_sub2,
-        "graph": canonical_form(clique_complex(comparability_graph(cx))).sort_key,
+        "dual": canonical_form(t["dual"]).sort_key,
+        "complement": canonical_form(t["complement"]).sort_key,
+        "subdivision": canonical_form(t["subdivision"][0]).sort_key,
+        "subdivision2": None if t["subdivision2"] is None
+        else canonical_form(t["subdivision2"][0]).sort_key,
+        "graph": graph_canonical_form(t["graph"]).sort_key,
     }
 
 
 _ITEM_NAMES = ("dual", "complement", "subdivision", "subdivision2", "graph")
+
+
+def _broken_items(t: dict, tc: dict, perm: tuple[int, ...]) -> list[str]:
+    """The items whose transform of a copy relabeled by ``perm`` is not the
+    member's transform ``t`` carried along by ``perm``, in item order. The
+    second subdivision is skipped where the cap blocks it."""
+    sigma = _carries_subdivision(t["subdivision"], tc["subdivision"], perm)
+    held = {
+        "dual": relabel_complex(t["dual"], perm) == tc["dual"],
+        "complement": relabel_complex(t["complement"], perm) == tc["complement"],
+        "subdivision": sigma is not None,
+        "subdivision2": t["subdivision2"] is None or tc["subdivision2"] is None or (
+            sigma is not None
+            and _carries_subdivision(t["subdivision2"], tc["subdivision2"], sigma) is not None
+        ),
+        "graph": _carries_edges(t["graph"], tc["graph"], _face_map(
+            t["graph"].labels, tc["graph"].labels, perm)),
+    }
+    return [item for item in _ITEM_NAMES if not held[item]]
 
 
 def verify_equivalences(n: int) -> VerificationReport:
@@ -245,6 +374,12 @@ def verify_equivalences(n: int) -> VerificationReport:
     generator-set items are certified by their reduction to complex
     isomorphism: for isomorphic pairs the witness bijection must carry
     minimal nonfaces onto minimal nonfaces and facets onto facets.
+
+    Universe pairs compare canonical forms of every item. Relabeled copies
+    are witness checks: each item is equivariant, so the copy's transform
+    must equal the member's carried along by the permutation (for the
+    subdivisions and the graph, by the face map it induces), and the
+    permutation itself is the generators' witness.
     """
     _check_cap(n, EQUIVALENCE_MAX_VERTICES, "equivalence")
     universe = enumerate_complexes(n, up_to_iso=True)
@@ -254,7 +389,8 @@ def verify_equivalences(n: int) -> VerificationReport:
         "facet generators along the isomorphism witness, standing in for "
         "isomorphism of the generated algebras"
     )
-    bundles = [_equivalence_bundle(cx) for cx in universe]
+    transforms = [_transforms(cx) for cx in universe]
+    bundles = [_equivalence_bundle(cx, t) for cx, t in zip(universe, transforms)]
     skipped = sum(1 for b in bundles if b["subdivision2"] is None)
     if skipped:
         report.notes.append(
@@ -284,22 +420,12 @@ def verify_equivalences(n: int) -> VerificationReport:
             report.pair_checks += 1
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
-            copy = relabel_complex(cx, tuple(perm))
-            bc = _equivalence_bundle(copy)
-            bi = bundles[i]
-            for item in _ITEM_NAMES:
-                if bi[item] is None or bc[item] is None:
-                    continue
-                if bi[item] != bc[item]:
-                    report.failures.append(
-                        f"universe[{i}] relabeled by {perm}: item {item} broke"
-                    )
-            witness = are_isomorphic(cx, copy)
-            if witness is None:
+            witness = VertexBijection(tuple(perm))
+            copy = relabel_complex(cx, witness)
+            for item in _broken_items(transforms[i], _transforms(copy), witness.mapping):
                 report.failures.append(
-                    f"universe[{i}] relabeled by {perm}: no isomorphism witness"
+                    f"universe[{i}] relabeled by {perm}: item {item} broke"
                 )
-                continue
             srs = {witness.apply(s) for s in stanley_reisner_generators(cx)}
             if srs != set(stanley_reisner_generators(copy)):
                 report.failures.append(
@@ -312,6 +438,7 @@ def verify_equivalences(n: int) -> VerificationReport:
                     f"universe[{i}] relabeled by {perm}: facet generators "
                     f"not carried onto generators"
                 )
+    report.notes.append(_counts_note(len(universe), 0, 0))
     return report
 
 

@@ -1,6 +1,7 @@
 """Universe enumeration and the exhaustive desk-scale verification harnesses."""
 
 from collections import namedtuple
+import dataclasses
 from itertools import combinations
 import random
 
@@ -13,11 +14,15 @@ from barysub import (
     EmptyInput,
     LabeledGraph,
     UniverseTooLarge,
+    are_isomorphic,
     canonical_form,
+    comparability_graph,
     enumerate_complexes,
     full_simplex,
     graph_canonical_form,
     graphs_isomorphic,
+    reconstruct_from_comparability_graph,
+    relabel_complex,
     verify_equivalences,
     verify_subdivision_rigidity,
     verify_theorems,
@@ -163,6 +168,8 @@ def _coarse_form(c):
 
 def test_harnesses_report_failures_under_a_coarse_canonical_form(monkeypatch):
     monkeypatch.setattr(verify_module, "canonical_form", _coarse_form)
+    # one invariant group, so the coarse form is consulted on every member
+    monkeypatch.setattr(verify_module, "_graph_invariant", lambda g: 0)
     r = verify_subdivision_rigidity(4)
     assert (r.universe_size, r.pair_checks, len(r.failures)) == (20, 230, 3)
     assert r.failures[0] == (
@@ -176,6 +183,147 @@ def test_harnesses_report_failures_under_a_coarse_canonical_form(monkeypatch):
     assert e.failures[1] == "pair (1,2): item dual answers False but complex isomorphism is True"
     assert e.failures[-1] == (
         "pair (16,17): item graph answers False but complex isomorphism is True"
+    )
+
+
+def test_round_trip_witness_failure_is_reported(monkeypatch):
+    real = verify_module.reconstruct_from_comparability_graph
+
+    def swapped(g):
+        rec = real(g)
+        m = list(rec.source_map)
+        m[0], m[1] = m[1], m[0]
+        return dataclasses.replace(rec, source_map=tuple(m))
+
+    monkeypatch.setattr(verify_module, "reconstruct_from_comparability_graph", swapped)
+    r = verify_subdivision_rigidity(4)
+    # the swap is harmless exactly where it is an automorphism of the member
+    assert (r.universe_size, r.pair_checks, len(r.failures)) == (20, 230, 11)
+    assert r.failures[0] == "universe[1] failed the reconstruction round trip (status ok)"
+    assert r.failures[-1] == "universe[16] failed the reconstruction round trip (status ok)"
+
+
+def test_round_trip_falls_back_when_a_source_is_not_a_vertex(monkeypatch):
+    real = verify_module.reconstruct_from_comparability_graph
+
+    def largest_face_first(g):
+        rec = real(g)
+        return dataclasses.replace(rec, source_map=(g.vertex_count - 1,) + rec.source_map[1:])
+
+    monkeypatch.setattr(verify_module, "reconstruct_from_comparability_graph", largest_face_first)
+    r = verify_subdivision_rigidity(4)
+    # the largest face is a vertex only for the four isolated points, whose
+    # witness then names vertex 4 twice
+    assert r.failures == ["universe[12] failed the reconstruction round trip (status ok)"]
+    assert r.notes[-1] == (
+        "0 graph canonical forms computed, 0 members in tied invariant groups, "
+        "19 round trips fell back to are_isomorphic"
+    )
+
+
+def test_relabeled_copy_witness_failure_is_reported(monkeypatch):
+    real_graph, real_relabel = verify_module.comparability_graph, verify_module.relabel_complex
+    copies = []
+
+    def tagging(cx, perm):
+        copies.append(real_relabel(cx, perm))
+        return copies[-1]
+
+    def dropping(cx):
+        g = real_graph(cx)
+        if any(cx is c for c in copies):
+            return LabeledGraph(g.vertex_count, g.edges[1:], g.labels)
+        return g
+
+    monkeypatch.setattr(verify_module, "relabel_complex", tagging)
+    monkeypatch.setattr(verify_module, "comparability_graph", dropping)
+    r = verify_subdivision_rigidity(4)
+    # every copy loses an edge but the four isolated points, which have none
+    assert (r.universe_size, r.pair_checks, len(r.failures)) == (20, 230, 19)
+    assert r.failures[0] == (
+        "universe[0] relabeled by [2, 1, 3, 4]: the face map it induces does not "
+        "carry the comparability graph onto the copy's"
+    )
+    assert r.failures[-1].startswith("universe[19] relabeled by [4, 3, 2, 1]: ")
+
+
+def test_non_equivariant_dual_is_reported(monkeypatch):
+    real = verify_module.alexander_dual
+
+    def skewed(cx):
+        # the dual with vertices 1 and 2 swapped: same canonical form, wrong labels
+        return relabel_complex(real(cx), (2, 1) + tuple(range(3, cx.ground_size + 1)))
+
+    monkeypatch.setattr(verify_module, "alexander_dual", skewed)
+    e = verify_equivalences(4)
+    assert (e.universe_size, e.pair_checks, len(e.failures)) == (20, 230, 23)
+    assert all(f.endswith(": item dual broke") for f in e.failures)
+    assert e.failures[0] == "universe[1] relabeled by [4, 3, 2, 1]: item dual broke"
+    assert e.failures[-1] == "universe[18] relabeled by [4, 2, 3, 1]: item dual broke"
+
+
+def _witness_cross_check_corpus():
+    rng = random.Random(181)
+    return list(helpers.universe_through(5)) + [
+        helpers.random_complex(rng, rng.randint(1, 6)) for _ in range(300)
+    ]
+
+
+def test_witness_checks_agree_with_canonical_forms():
+    """The witness checks against the checks they replace, on the n <= 5
+    universe and 300 random complexes that may leave vertices unused."""
+    rng = random.Random(191)
+    witnessed = 0
+    for cx in _witness_cross_check_corpus():
+        g = comparability_graph(cx)
+        rec = reconstruct_from_comparability_graph(g)
+        held = verify_module._round_trip_holds(cx, g, rec)
+        if held is not None:
+            witnessed += 1
+            assert held == (rec.complex is not None and are_isomorphic(rec.complex, cx) is not None)
+        perm = list(range(1, cx.ground_size + 1))
+        rng.shuffle(perm)
+        h = comparability_graph(relabel_complex(cx, tuple(perm)))
+        fmap = verify_module._face_map(g.labels, h.labels, perm)
+        assert verify_module._carries_edges(g, h, fmap)
+        assert graph_canonical_form(g) == graph_canonical_form(h)
+        # a copy missing an edge: neither check accepts it
+        if h.edges:
+            damaged = LabeledGraph(h.vertex_count, h.edges[1:], h.labels)
+            assert verify_module._carries_edges(g, damaged, fmap) is False
+            assert graph_canonical_form(g) != graph_canonical_form(damaged)
+        # a wrong face map: two faces of unequal degree swapped. The forms
+        # still agree, and the witness check refuses the map.
+        deg = [a.bit_count() for a in g.adj]
+        pair = next(((a, b) for a in range(len(deg)) for b in range(a)
+                     if deg[a] != deg[b]), None)
+        if pair:
+            wrong = list(fmap)
+            wrong[pair[0]], wrong[pair[1]] = wrong[pair[1]], wrong[pair[0]]
+            assert verify_module._carries_edges(g, h, wrong) is False
+    assert witnessed > 400
+
+
+def test_graph_canonical_form_on_every_five_vertex_member():
+    # the rigidity harness no longer computes graph forms at n = 5
+    rng = random.Random(197)
+    for cx in helpers.universe(5):
+        perm = list(range(1, 6))
+        rng.shuffle(perm)
+        copy = relabel_complex(cx, tuple(perm))
+        assert graph_canonical_form(comparability_graph(copy)) == graph_canonical_form(
+            comparability_graph(cx))
+
+
+def test_refined_invariant_separates_the_universe():
+    for n, size in [(4, 20), (5, 180)]:
+        invariants = {verify_module._graph_invariant(comparability_graph(c))
+                      for c in helpers.universe(n)}
+        assert len(invariants) == size
+    # so the rigidity harness computes no graph form at n = 5
+    assert verify_subdivision_rigidity(5).notes[-1] == (
+        "0 graph canonical forms computed, 0 members in tied invariant groups, "
+        "0 round trips fell back to are_isomorphic"
     )
 
 

@@ -8,13 +8,11 @@ of equivalent conditions (duals, complements, subdivisions, iterated
 subdivisions, comparability graphs, generator sets) holds or fails in
 lockstep.
 
-Where an explicit isomorphism is known, the harnesses check it instead of
-comparing canonical forms. Witness checks: the rigidity round trip (the
-reconstruction's source map) and every relabeled copy in both harnesses
-(the permutation and the face maps it induces). Canonical forms remain for
-the equivalence harness's member bundles and pair loop, and for rigidity's
-distinctness check, where they are computed only for members whose cheap
-graph invariant another member shares.
+Every isomorphism decision follows one rule. Where an explicit map is
+known it is checked: the rigidity round trip's source map, and the
+permutation behind each relabeled copy with the face maps it induces.
+Everywhere else objects are compared by ``_iso_keys``: a cheap invariant,
+and a canonical form only where another object's invariant ties.
 """
 
 from __future__ import annotations
@@ -28,8 +26,8 @@ from .core import (
     SimplicialComplex,
     VertexBijection,
     _antichain_complex,
+    _initial_colors,
     _mask_elements,
-    are_isomorphic,
     canonical_form,
     relabel_complex,
 )
@@ -164,10 +162,30 @@ def _graph_invariant(g: LabeledGraph) -> tuple:
     )))
 
 
+def _complex_invariant(cx: SimplicialComplex) -> tuple:
+    """Cheap isomorphism invariant: the canonical-form search's starting colours."""
+    return (cx.ground_size, cx.void, tuple(sorted(_initial_colors(cx))))
+
+
+def _iso_keys(objs: list, invariant, form) -> tuple[list, int]:
+    """Keys equal exactly when the objects are isomorphic, and the number of
+    canonical forms computed for them.
+
+    An object's key is ``(invariant,)`` when no other object in ``objs``
+    shares its invariant, else ``(invariant, form(obj).sort_key)``; the two
+    shapes never compare equal. A None object keeps the key None.
+    """
+    invariants = [None if o is None else invariant(o) for o in objs]
+    sizes = Counter(inv for o, inv in zip(objs, invariants) if o is not None)
+    keys = [None if o is None else (inv,) if sizes[inv] == 1 else (inv, form(o).sort_key)
+            for o, inv in zip(objs, invariants)]
+    return keys, sum(n for n in sizes.values() if n > 1)
+
+
 def graphs_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:
-    if _graph_invariant(a) != _graph_invariant(b):
-        return False
-    return graph_canonical_form(a) == graph_canonical_form(b)
+    """Whether two graphs are isomorphic, compared by ``_iso_keys``."""
+    (key_a, key_b), _ = _iso_keys([a, b], _graph_invariant, graph_canonical_form)
+    return key_a == key_b
 
 
 def _pairs_sharing_a_key(keys: list) -> list[tuple[int, int]]:
@@ -216,28 +234,23 @@ def _carries_subdivision(s, sc, perm) -> tuple[int, ...] | None:
     return sigma if relabel_complex(s[0], sigma) == sc[0] else None
 
 
-def _round_trip_holds(cx: SimplicialComplex, g: LabeledGraph, rec) -> bool | None:
+def _round_trip_holds(cx: SimplicialComplex, g: LabeledGraph, rec) -> bool:
     """Whether the reconstruction ``rec`` of g, the comparability graph of
     cx, rebuilt cx, checked by its own witness: rebuilt vertex k goes to the
     vertex of the face ``g.labels[rec.source_map[k-1]]``, and that map must
-    carry the rebuilt complex exactly onto cx. None when some such face is
-    not a singleton, so the source map names no vertex map."""
+    carry the rebuilt complex exactly onto cx. Those faces are singletons:
+    faces are numbered in (cardinality, lex) order, so inclusion, the first
+    orientation of each component, passes with the singletons as sources."""
     if rec.status != STATUS_OK:
         return False
-    sources = [g.labels[v].mask for v in rec.source_map]
-    if any(m & (m - 1) for m in sources):
-        return None
-    witness = tuple(m.bit_length() for m in sources)
+    witness = tuple(g.labels[v].mask.bit_length() for v in rec.source_map)
     if sorted(witness) != list(range(1, cx.ground_size + 1)):
         return False
     return relabel_complex(rec.complex, witness) == cx
 
 
-def _counts_note(forms: int, tied: int, fallbacks: int) -> str:
-    return (
-        f"{forms} graph canonical forms computed, {tied} members in tied "
-        f"invariant groups, {fallbacks} round trips fell back to are_isomorphic"
-    )
+def _counts_note(forms: int) -> str:
+    return f"{forms} canonical forms computed, one per object in a tied invariant group"
 
 
 def verify_subdivision_rigidity(n: int) -> VerificationReport:
@@ -250,12 +263,10 @@ def verify_subdivision_rigidity(n: int) -> VerificationReport:
 
     The round trip and the copy are witness checks. The round trip reads a
     vertex map off the reconstruction's source map and requires it to carry
-    the rebuilt complex exactly onto the member; it falls back to
-    ``are_isomorphic`` only when a source is not a vertex. The copy's
-    permutation induces a map on faces, which must carry the member's
-    comparability-graph edges exactly onto the copy's. Distinctness still
-    uses canonical forms, but only for members whose cheap graph invariant
-    another member shares; at n <= 5 there are none.
+    the rebuilt complex exactly onto the member. The copy's permutation
+    induces a map on faces, which must carry the member's comparability-graph
+    edges exactly onto the copy's. Distinctness compares the graphs'
+    ``_iso_keys``; at n <= 5 no invariant ties, so no form is computed.
     """
     _check_cap(n, RIGIDITY_MAX_VERTICES, "rigidity")
     universe = enumerate_complexes(n, up_to_iso=True)
@@ -272,27 +283,17 @@ def verify_subdivision_rigidity(n: int) -> VerificationReport:
     )
     rng = random.Random(20260816 + n)
     graphs = [comparability_graph(cx) for cx in universe]
-    invariants = [_graph_invariant(g) for g in graphs]
-    group_sizes = Counter(invariants)
-    tied = [k for k, inv in enumerate(invariants) if group_sizes[inv] > 1]
-    forms: list = [None] * len(universe)
-    for k in tied:
-        forms[k] = graph_canonical_form(graphs[k])
+    keys, forms = _iso_keys(graphs, _graph_invariant, graph_canonical_form)
     report.pair_checks += len(universe) * (len(universe) - 1) // 2
-    for i, j in _pairs_sharing_a_key(forms):
+    for i, j in _pairs_sharing_a_key(keys):
         report.failures.append(
             f"universe[{i}] and universe[{j}] are non-isomorphic but their "
             f"comparability graphs share a canonical form"
         )
-    fallbacks = 0
     for i, cx in enumerate(universe):
         report.pair_checks += 1
         rec = reconstruct_from_comparability_graph(graphs[i])
-        held = _round_trip_holds(cx, graphs[i], rec)
-        if held is None:
-            fallbacks += 1
-            held = are_isomorphic(rec.complex, cx) is not None
-        if not held:
+        if not _round_trip_holds(cx, graphs[i], rec):
             report.failures.append(
                 f"universe[{i}] failed the reconstruction round trip "
                 f"(status {rec.status})"
@@ -307,7 +308,7 @@ def verify_subdivision_rigidity(n: int) -> VerificationReport:
                 f"universe[{i}] relabeled by {perm}: the face map it induces "
                 f"does not carry the comparability graph onto the copy's"
             )
-    report.notes.append(_counts_note(len(tied), len(tied), fallbacks))
+    report.notes.append(_counts_note(forms))
     return report
 
 
@@ -326,19 +327,6 @@ def _transforms(cx: SimplicialComplex) -> dict:
         "subdivision": sub,
         "subdivision2": sub2,
         "graph": comparability_graph(cx),
-    }
-
-
-def _equivalence_bundle(cx: SimplicialComplex, t: dict) -> dict:
-    """Canonical forms of a complex and of its transforms ``t``."""
-    return {
-        "complex": canonical_form(cx).sort_key,
-        "dual": canonical_form(t["dual"]).sort_key,
-        "complement": canonical_form(t["complement"]).sort_key,
-        "subdivision": canonical_form(t["subdivision"][0]).sort_key,
-        "subdivision2": None if t["subdivision2"] is None
-        else canonical_form(t["subdivision2"][0]).sort_key,
-        "graph": graph_canonical_form(t["graph"]).sort_key,
     }
 
 
@@ -375,11 +363,13 @@ def verify_equivalences(n: int) -> VerificationReport:
     isomorphism: for isomorphic pairs the witness bijection must carry
     minimal nonfaces onto minimal nonfaces and facets onto facets.
 
-    Universe pairs compare canonical forms of every item. Relabeled copies
-    are witness checks: each item is equivariant, so the copy's transform
-    must equal the member's carried along by the permutation (for the
-    subdivisions and the graph, by the face map it induces), and the
-    permutation itself is the generators' witness.
+    Universe pairs compare ``_iso_keys`` of every item: ``_complex_invariant``
+    for the complex items and ``_graph_invariant`` for the graph, with a
+    canonical form only where another member's invariant ties (none at
+    n <= 4). Relabeled copies are witness checks: each item is equivariant,
+    so the copy's transform must equal the member's carried along by the
+    permutation (for the subdivisions and the graph, by the face map it
+    induces), and the permutation itself is the generators' witness.
     """
     _check_cap(n, EQUIVALENCE_MAX_VERTICES, "equivalence")
     universe = enumerate_complexes(n, up_to_iso=True)
@@ -390,29 +380,37 @@ def verify_equivalences(n: int) -> VerificationReport:
         "isomorphism of the generated algebras"
     )
     transforms = [_transforms(cx) for cx in universe]
-    bundles = [_equivalence_bundle(cx, t) for cx, t in zip(universe, transforms)]
-    skipped = sum(1 for b in bundles if b["subdivision2"] is None)
+    skipped = sum(1 for t in transforms if t["subdivision2"] is None)
     if skipped:
         report.notes.append(
             f"{skipped} universe members exceed the 64-element cap at the second "
             f"subdivision; the iterated-subdivision item is skipped for their pairs"
         )
+    keys, forms = {}, 0
+    for item in ("complex",) + _ITEM_NAMES:
+        objs = universe if item == "complex" else [t[item] for t in transforms]
+        if item.startswith("subdivision"):
+            objs = [None if s is None else s[0] for s in objs]
+        invariant, form = ((_graph_invariant, graph_canonical_form) if item == "graph"
+                           else (_complex_invariant, canonical_form))
+        keys[item], computed = _iso_keys(objs, invariant, form)
+        forms += computed
     # A pair can fail only when some item, or the complex itself, agrees on
     # it, so only pairs sharing a key under one of them are compared.
     report.pair_checks += len(universe) * (len(universe) - 1) // 2
     candidates = set()
-    for item in ("complex",) + _ITEM_NAMES:
-        candidates.update(_pairs_sharing_a_key([b[item] for b in bundles]))
+    for item_keys in keys.values():
+        candidates.update(_pairs_sharing_a_key(item_keys))
     for i, j in sorted(candidates):
-        bi, bj = bundles[i], bundles[j]
-        expected = bi["complex"] == bj["complex"]  # always False in this universe
+        expected = keys["complex"][i] == keys["complex"][j]  # always False in this universe
         for item in _ITEM_NAMES:
-            if bi[item] is None or bj[item] is None:
+            ki, kj = keys[item][i], keys[item][j]
+            if ki is None or kj is None:
                 continue
-            if (bi[item] == bj[item]) != expected:
+            if (ki == kj) != expected:
                 report.failures.append(
                     f"pair ({i},{j}): item {item} answers "
-                    f"{bi[item] == bj[item]} but complex isomorphism is {expected}"
+                    f"{ki == kj} but complex isomorphism is {expected}"
                 )
     rng = random.Random(8160000 + n)
     for i, cx in enumerate(universe):
@@ -438,7 +436,7 @@ def verify_equivalences(n: int) -> VerificationReport:
                     f"universe[{i}] relabeled by {perm}: facet generators "
                     f"not carried onto generators"
                 )
-    report.notes.append(_counts_note(len(universe), 0, 0))
+    report.notes.append(_counts_note(forms))
     return report
 
 

@@ -21,12 +21,16 @@ from barysub import (
     full_simplex,
     graph_canonical_form,
     graphs_isomorphic,
+    inclusion_orientation,
+    poset_from_orientation,
     reconstruct_from_comparability_graph,
     relabel_complex,
+    transitive_orientations,
     verify_equivalences,
     verify_subdivision_rigidity,
     verify_theorems,
 )
+from barysub.core import induced_components
 import barysub.verify as verify_module
 
 
@@ -128,6 +132,42 @@ def test_graphs_isomorphic_against_permutation_oracle():
     assert checked > 150
 
 
+# non-isomorphic 1-complexes on 6 vertices whose complex invariants tie in pairs
+TWO_TRIANGLES = helpers.cx(6, (1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6))
+HEXAGON = helpers.cx(6, (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6))
+K33 = helpers.cx(6, *((a, b) for a in (1, 2, 3) for b in (4, 5, 6)))
+PRISM = helpers.cx(6, *TWO_TRIANGLES.facets, (1, 4), (2, 5), (3, 6))
+
+
+def test_iso_keys_break_a_complex_invariant_tie_by_canonical_form():
+    # no harness reaches the tied branch for complexes at n <= 4
+    relabeled = relabel_complex(HEXAGON, (2, 4, 6, 1, 3, 5))
+    invariant = verify_module._complex_invariant
+    assert invariant(TWO_TRIANGLES) == invariant(HEXAGON) == invariant(relabeled)
+    keys, forms = verify_module._iso_keys(
+        [TWO_TRIANGLES, HEXAGON, None, relabeled, full_simplex(6)], invariant, canonical_form)
+    assert forms == 3
+    assert keys[0] != keys[1] == keys[3]
+    assert keys[2] is None and keys[4] == (invariant(full_simplex(6)),)
+
+
+def test_iso_keys_against_permutation_oracle():
+    rng = random.Random(211)
+    bases = [TWO_TRIANGLES, HEXAGON, K33, PRISM]
+    bases += [helpers.random_complex(rng, rng.randint(1, 6)) for _ in range(40)]
+    pool = []
+    for c in bases:
+        perm = list(range(1, c.ground_size + 1))
+        rng.shuffle(perm)
+        pool += [c, relabel_complex(c, tuple(perm))]
+    keys, forms = verify_module._iso_keys(pool, verify_module._complex_invariant, canonical_form)
+    # each complex ties with at least its relabeled copy
+    assert forms == len(pool)
+    for i, j in combinations(range(len(pool)), 2):
+        want = helpers.brute_isomorphic(pool[i], pool[j]) is not None
+        assert (keys[i] == keys[j]) == want, (pool[i], pool[j])
+
+
 def test_rigidity_reports_are_clean():
     for n, size, pairs in [(1, 1, 2), (2, 2, 5), (3, 5, 20), (4, 20, 230)]:
         r = verify_subdivision_rigidity(n)
@@ -168,8 +208,9 @@ def _coarse_form(c):
 
 def test_harnesses_report_failures_under_a_coarse_canonical_form(monkeypatch):
     monkeypatch.setattr(verify_module, "canonical_form", _coarse_form)
-    # one invariant group, so the coarse form is consulted on every member
+    # one invariant group per item, so the coarse form is consulted on every object
     monkeypatch.setattr(verify_module, "_graph_invariant", lambda g: 0)
+    monkeypatch.setattr(verify_module, "_complex_invariant", lambda cx: 0)
     r = verify_subdivision_rigidity(4)
     assert (r.universe_size, r.pair_checks, len(r.failures)) == (20, 230, 3)
     assert r.failures[0] == (
@@ -203,7 +244,7 @@ def test_round_trip_witness_failure_is_reported(monkeypatch):
     assert r.failures[-1] == "universe[16] failed the reconstruction round trip (status ok)"
 
 
-def test_round_trip_falls_back_when_a_source_is_not_a_vertex(monkeypatch):
+def test_round_trip_fails_when_a_source_is_not_a_vertex(monkeypatch):
     real = verify_module.reconstruct_from_comparability_graph
 
     def largest_face_first(g):
@@ -212,13 +253,12 @@ def test_round_trip_falls_back_when_a_source_is_not_a_vertex(monkeypatch):
 
     monkeypatch.setattr(verify_module, "reconstruct_from_comparability_graph", largest_face_first)
     r = verify_subdivision_rigidity(4)
-    # the largest face is a vertex only for the four isolated points, whose
-    # witness then names vertex 4 twice
-    assert r.failures == ["universe[12] failed the reconstruction round trip (status ok)"]
-    assert r.notes[-1] == (
-        "0 graph canonical forms computed, 0 members in tied invariant groups, "
-        "19 round trips fell back to are_isomorphic"
-    )
+    # the witness is a certificate, so a source map that names the largest
+    # face first fails on every member instead of passing
+    assert r.failures == [
+        f"universe[{i}] failed the reconstruction round trip (status ok)" for i in range(20)
+    ]
+    assert r.notes[-1] == "0 canonical forms computed, one per object in a tied invariant group"
 
 
 def test_relabeled_copy_witness_failure_is_reported(monkeypatch):
@@ -273,14 +313,19 @@ def test_witness_checks_agree_with_canonical_forms():
     """The witness checks against the checks they replace, on the n <= 5
     universe and 300 random complexes that may leave vertices unused."""
     rng = random.Random(191)
-    witnessed = 0
+    connected = 0
     for cx in _witness_cross_check_corpus():
         g = comparability_graph(cx)
         rec = reconstruct_from_comparability_graph(g)
         held = verify_module._round_trip_holds(cx, g, rec)
-        if held is not None:
-            witnessed += 1
-            assert held == (rec.complex is not None and are_isomorphic(rec.complex, cx) is not None)
+        assert held == (rec.complex is not None and are_isomorphic(rec.complex, cx) is not None)
+        # the source map names vertices, because the inclusion orientation
+        # comes first and passes the face-poset check
+        assert all(g.labels[v].mask.bit_count() == 1 for v in rec.source_map)
+        if len(induced_components(g.adj, (1 << g.vertex_count) - 1)) == 1:
+            connected += 1
+            assert transitive_orientations(g)[0] == poset_from_orientation(
+                g, inclusion_orientation(g))
         perm = list(range(1, cx.ground_size + 1))
         rng.shuffle(perm)
         h = comparability_graph(relabel_complex(cx, tuple(perm)))
@@ -301,7 +346,7 @@ def test_witness_checks_agree_with_canonical_forms():
             wrong = list(fmap)
             wrong[pair[0]], wrong[pair[1]] = wrong[pair[1]], wrong[pair[0]]
             assert verify_module._carries_edges(g, h, wrong) is False
-    assert witnessed > 400
+    assert connected > 400
 
 
 def test_graph_canonical_form_on_every_five_vertex_member():
@@ -320,11 +365,21 @@ def test_refined_invariant_separates_the_universe():
         invariants = {verify_module._graph_invariant(comparability_graph(c))
                       for c in helpers.universe(n)}
         assert len(invariants) == size
-    # so the rigidity harness computes no graph form at n = 5
-    assert verify_subdivision_rigidity(5).notes[-1] == (
-        "0 graph canonical forms computed, 0 members in tied invariant groups, "
-        "0 round trips fell back to are_isomorphic"
-    )
+    # and the complex invariant separates the n = 4 members in every complex item
+    transforms = [verify_module._transforms(c) for c in helpers.universe(4)]
+    items = {"complex": list(helpers.universe(4))}
+    for item in ("dual", "complement"):
+        items[item] = [t[item] for t in transforms]
+    for item in ("subdivision", "subdivision2"):
+        items[item] = [t[item][0] for t in transforms if t[item] is not None]
+    for item, objs in items.items():
+        invariants = {verify_module._complex_invariant(c) for c in objs}
+        assert len(invariants) == len(objs) == (18 if item == "subdivision2" else 20), item
+    # so neither harness computes a canonical form at n = 4, nor rigidity at n = 5
+    no_forms = "0 canonical forms computed, one per object in a tied invariant group"
+    assert verify_subdivision_rigidity(4).notes[-1] == no_forms
+    assert verify_subdivision_rigidity(5).notes[-1] == no_forms
+    assert verify_equivalences(4).notes[-1] == no_forms
 
 
 def test_equivalence_skip_note_only_when_cap_binds():

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from operator import or_
 import random
 
 from .core import (
@@ -72,9 +73,20 @@ def _mask_sort_key(m: int) -> tuple[int, int]:
 def enumerate_complexes(n: int, up_to_iso: bool = False) -> list[SimplicialComplex]:
     """All complexes on [n] whose faces include every singleton.
 
-    Enumerated as antichains of nonempty subsets covering [n], by DFS over
-    subsets in (cardinality, value) order with a suffix-union prune. With
-    ``up_to_iso`` the list keeps the first member of each isomorphism class.
+    Enumerated as antichains of nonempty subsets covering [n], by one DFS
+    that extends a family only by subsets later in (cardinality, value)
+    order, with a suffix-union prune. A family's code has bit total-1-r for
+    each member of rank r in that order, so of two families of one size the
+    one with the larger code sorts first. The list is sorted by size, then
+    by descending code.
+
+    With ``up_to_iso`` the DFS is orderly (Read, 1978): it carries the codes
+    of the family's images under all n! vertex permutations and keeps a
+    family only when no image's code exceeds its own, that is, when it is
+    the least member of its orbit. Dropping the last member of an
+    orbit-least family leaves an orbit-least family, so every orbit-least
+    family is reached through orbit-least prefixes, and each isomorphism
+    class appears once, as its least member; no canonical form is computed.
     Counts up to isomorphism: 1, 2, 5, 20, 180 for n = 1..5.
     """
     if n < 1:
@@ -87,57 +99,43 @@ def enumerate_complexes(n: int, up_to_iso: bool = False) -> list[SimplicialCompl
     suffix = [0] * (total + 1)
     for i in range(total - 1, -1, -1):
         suffix[i] = suffix[i + 1] | subsets[i]
+    code_bit = {m: 1 << (total - 1 - r) for r, m in enumerate(subsets)}
+    # col[r][p]: the code bit of subsets[r] relabeled by the p-th permutation.
+    # The identity comes first, so a family's image codes start with its own;
+    # the labelled walk carries only that one.
+    rows = []
+    for perm in permutations(range(n)) if up_to_iso else [range(n)]:
+        img = [0] * (full + 1)
+        for m in range(1, full + 1):
+            low = m & -m
+            img[m] = img[m ^ low] | 1 << perm[low.bit_length() - 1]
+        rows.append([code_bit[img[m]] for m in subsets])
+    col = list(zip(*rows))
 
     families: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
-    def walk(i: int, union: int) -> None:
-        if union | suffix[i] != full:
-            return
-        if i == total:
+    def extend(start: int, union: int, codes: list[int]) -> None:
+        if union == full:
             families.append(tuple(chosen))
-            return
-        walk(i + 1, union)
-        c = subsets[i]
-        for m in chosen:
-            if m & c == m or m & c == c:
-                return
-        chosen.append(c)
-        walk(i + 1, union | c)
-        chosen.pop()
+        for i in range(start, total):
+            if union | suffix[i] != full:
+                return  # later suffixes only shrink
+            c = subsets[i]
+            # a later subset is never smaller, so it can only contain a member
+            if any(m & c == m for m in chosen):
+                continue
+            child = list(map(or_, codes, col[i]))
+            if max(child) == child[0]:
+                chosen.append(c)
+                extend(i + 1, union | c, child)
+                chosen.pop()
 
-    walk(0, 0)
-
-    families.sort(key=lambda f: (len(f), tuple(_mask_sort_key(m) for m in f)))
-    if up_to_iso:
-        families = _first_of_each_orbit(n, families)
+    extend(0, 0, [0] * len(rows))
+    # The DFS visits the families of one size in lexicographic order of
+    # their ranks, which is descending code order; the sort is stable.
+    families.sort(key=len)
     return [_antichain_complex(n, fam) for fam in families]
-
-
-def _first_of_each_orbit(n: int, families: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The first family of each S_n orbit, in the order given.
-
-    Covering families on the fixed ground set [n] are isomorphic exactly
-    when a permutation of [n] carries one onto the other. A family is kept
-    when no earlier kept family's image has marked it, and then all n! of
-    its images are marked. A family is marked as the bit set of its masks.
-    """
-    images = []  # images[p][m]: the mask m relabeled by the p-th permutation
-    for perm in permutations(range(n)):
-        img = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            img[m] = img[m ^ low] | 1 << perm[low.bit_length() - 1]
-        images.append(img)
-    kept = []
-    seen: set[int] = set()
-    for fam in families:
-        if sum(1 << m for m in fam) in seen:
-            continue
-        kept.append(fam)
-        for img in images:
-            seen.add(sum(1 << img[m] for m in fam))
-    return kept
 
 
 def graph_canonical_form(g: LabeledGraph):

@@ -2,7 +2,8 @@
 
 from collections import namedtuple
 import dataclasses
-from itertools import combinations
+import hashlib
+from itertools import combinations, permutations
 import random
 
 import pytest
@@ -51,10 +52,24 @@ def brute_universe_n3() -> set[frozenset[frozenset[int]]]:
 
 
 def test_labeled_universe_counts():
-    for n, want in [(1, 1), (2, 2), (3, 9), (4, 114)]:
+    # OEIS A006126; the brute-force down-set count is feasible up to n = 4
+    for n, want in [(1, 1), (2, 2), (3, 9), (4, 114), (5, 6894)]:
         members = enumerate_complexes(n)
         assert len(members) == want
-        assert len(members) == helpers.downset_universe_count(n)
+        if n <= 4:
+            assert len(members) == helpers.downset_universe_count(n)
+
+
+def test_universe_order_is_pinned():
+    # Both universes for n = 1..5, member by member in the listed order.
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for up_to_iso in (False, True):
+            for c in enumerate_complexes(n, up_to_iso):
+                digest.update(repr((c.ground_size, c.masks, c.void)).encode())
+    assert digest.hexdigest() == (
+        "0e474f213e22b6145a2eec79e67eb6f92026208ba60f450535a416937b2ce855"
+    )
 
 
 def test_labeled_universe_matches_brute_force_n3():
@@ -80,7 +95,15 @@ def test_up_to_iso_universe_counts():
 
 def test_up_to_iso_universe_is_a_transversal():
     for n in (1, 2, 3, 4, 5):
-        assert list(helpers.universe(n)) == helpers.canonical_dedupe(n)
+        reps = helpers.universe(n)
+        assert list(reps) == helpers.canonical_dedupe(n)
+        # Each member sorts first in its orbit: no relabeling of it has a
+        # lexicographically smaller (cardinality, value)-sorted mask list.
+        keys = [sorted((m.bit_count(), m) for m in c.masks) for c in reps]
+        for perm in permutations(range(n)):
+            img = [sum(1 << perm[v] for v in range(n) if m >> v & 1) for m in range(1 << n)]
+            for c, key in zip(reps, keys):
+                assert key <= sorted((img[m].bit_count(), img[m]) for m in c.masks)
     for n in (1, 2, 3, 4):
         reps = helpers.universe(n)
         rep_forms = {canonical_form(c).sort_key for c in reps}

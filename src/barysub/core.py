@@ -198,10 +198,6 @@ class SimplicialComplex:
         return (1 << self.ground_size) - 1
 
     @property
-    def support(self) -> VertexSet:
-        return VertexSet.from_mask(functools.reduce(int.__or__, self.masks, 0))
-
-    @property
     def has_all_vertices(self) -> bool:
         return not self.void and functools.reduce(int.__or__, self.masks, 0) == self.full_mask
 
@@ -647,11 +643,6 @@ def _canonical(cx: SimplicialComplex) -> tuple[CanonicalForm, tuple[int, ...]]:
 def canonical_form(cx: SimplicialComplex) -> CanonicalForm:
     """Canonical form; equal forms exactly characterize isomorphism."""
     return _canonical(cx)[0]
-
-
-def canonical_labeling(cx: SimplicialComplex) -> VertexBijection:
-    """A bijection carrying the complex onto its canonical form's labels."""
-    return VertexBijection(_canonical(cx)[1])
 
 
 def are_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> VertexBijection | None:

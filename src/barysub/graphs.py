@@ -3,10 +3,10 @@
 Vertices are 0-based integers; edges are sorted (i, j) pairs with i < j.
 ``LabeledGraph.adj`` keeps one neighbour bit mask per vertex, which Python
 integers make size-free, so graphs may exceed the 64-element complex cap;
-only the ops that build complexes enforce it. The complement, maximal
-cliques, the implication classes of the transitive-orientation search
-(grown by Γ-forcing) and its directed-triangle test on arc masks all work
-on those masks. A transitive orientation is a strict order, so the search
+only the ops that build complexes enforce it. Maximal cliques, the
+implication classes of the transitive-orientation search (grown by
+Γ-forcing) and its directed-triangle test on arc masks all work on those
+masks. A transitive orientation is a strict order, so the search
 returns each one as a ``FacePoset``: one up-set mask per vertex, its arc
 masks at a leaf. The same class phase alone decides orientability, and the
 number of orientations is Gallai's product over the modular decomposition,
@@ -67,14 +67,6 @@ class LabeledGraph:
         return tuple(adj)
 
 
-def graph_complement(g: LabeledGraph) -> LabeledGraph:
-    n, adj = g.vertex_count, g.adj
-    edges = tuple(
-        (i, j) for i in range(n) for j in range(i + 1, n) if not adj[i] >> j & 1
-    )
-    return LabeledGraph(n, edges, g.labels)
-
-
 def _maximal_cliques(adj: tuple[int, ...], n: int) -> list[int]:
     # Bron-Kerbosch with pivoting on adjacency masks.
     out: list[int] = []
@@ -116,11 +108,6 @@ def clique_complex(g: LabeledGraph) -> SimplicialComplex:
     if n > MAX_GROUND:
         raise GroundSetTooLarge(f"{n} vertices exceed the {MAX_GROUND}-element cap")
     return _antichain_complex(n, _maximal_cliques(g.adj, n))
-
-
-def independence_complex(g: LabeledGraph) -> SimplicialComplex:
-    """Clique complex of the complement graph."""
-    return clique_complex(graph_complement(g))
 
 
 def one_skeleton_graph(cx: SimplicialComplex) -> LabeledGraph:
@@ -175,17 +162,6 @@ class Orientation:
             ((i if h == j else j), h) for (i, j), h in zip(self.edges, self.heads)
         ]
 
-    @property
-    def direction_bits(self) -> tuple[int, ...]:
-        # 0 when the edge points min -> max, 1 otherwise.
-        return tuple(0 if h == j else 1 for (_, j), h in zip(self.edges, self.heads))
-
-    def reverse(self) -> "Orientation":
-        flipped = tuple(
-            i if h == j else j for (i, j), h in zip(self.edges, self.heads)
-        )
-        return Orientation(self.edges, flipped)
-
 
 @dataclass(frozen=True)
 class FacePoset:
@@ -193,8 +169,7 @@ class FacePoset:
 
     ``up[k]`` is the bit mask of the positions (in ``elements``) of the
     elements above ``elements[k]``. Build one from an explicit relation with
-    ``FacePoset.from_relation(elements, relation)``; ``relation`` and
-    ``grades`` are derived from the masks when read.
+    ``FacePoset.from_relation(elements, relation)``.
     """
 
     elements: tuple[int, ...]
@@ -209,43 +184,6 @@ class FacePoset:
         for a, b in relation:
             up[pos[a]] |= 1 << pos[b]
         return cls(elements, tuple(up))
-
-    @property
-    def grades(self) -> tuple[int, ...]:
-        """Longest-chain lengths below each element, by position.
-
-        In a strict order an element has more elements above it than
-        anything above it has, so descending up-set size is a linear
-        extension along which the lengths are filled in.
-        """
-        up = self.up
-        grade = [0] * len(up)
-        for k in sorted(range(len(up)), key=lambda k: -up[k].bit_count()):
-            step = grade[k] + 1
-            for j in _mask_elements(up[k]):
-                if grade[j - 1] < step:
-                    grade[j - 1] = step
-        return tuple(grade)
-
-    @property
-    def relation(self) -> frozenset[tuple[int, int]]:
-        els = self.elements
-        return frozenset(
-            (a, els[j - 1]) for a, m in zip(els, self.up) for j in _mask_elements(m)
-        )
-
-    def less(self, a: int, b: int) -> bool:
-        els = self.elements
-        return (self.up[els.index(a)] >> els.index(b)) & 1 == 1
-
-    def sources(self) -> tuple[int, ...]:
-        heads = 0
-        for m in self.up:
-            heads |= m
-        return tuple(v for k, v in enumerate(self.elements) if not (heads >> k) & 1)
-
-    def sinks(self) -> tuple[int, ...]:
-        return tuple(v for v, m in zip(self.elements, self.up) if not m)
 
 
 def _implication_classes(g: LabeledGraph) -> list[list[tuple[int, int]]] | None:
@@ -296,7 +234,8 @@ def transitive_orientations(g: LabeledGraph) -> list[FacePoset]:
     """All transitive orientations, sorted by direction bits over the edge list.
 
     Each is returned as its order, ``FacePoset(tuple(range(n)), up)`` with
-    ``up[v]`` the heads of the arcs leaving v. Enumerates consistent choices
+    ``up[v]`` the heads of the arcs leaving v. An edge's direction bit is 0
+    when it points min -> max and 1 otherwise. Enumerates consistent choices
     over the arc implication classes and runs a directed-triangle test on
     arc masks; together those two constraints are exactly transitivity, so
     the arc masks at a leaf need no closure or check. The depth-first search
@@ -340,11 +279,6 @@ def transitive_orientations(g: LabeledGraph) -> list[FacePoset]:
 
     solve(0)
     return results
-
-
-def is_transitively_orientable(g: LabeledGraph) -> bool:
-    """Whether g is a comparability graph, decided by the implication classes alone."""
-    return _implication_classes(g) is not None
 
 
 def count_transitive_orientations(g: LabeledGraph) -> int:
@@ -422,19 +356,3 @@ def _prime_children(adj: tuple[int, ...], s: int) -> list[int]:
         if module != s:
             home |= x
     return [home] + [x for x in parts if not x & home]
-
-
-def inclusion_orientation(g: LabeledGraph) -> Orientation:
-    """Orient a face-labeled graph from smaller label to larger label."""
-    if g.labels is None:
-        raise ValueError("graph carries no face labels")
-    heads = []
-    for i, j in g.edges:
-        a, b = g.labels[i], g.labels[j]
-        if a.issubset(b) and a != b:
-            heads.append(j)
-        elif b.issubset(a) and b != a:
-            heads.append(i)
-        else:
-            raise ValueError(f"labels of edge {(i, j)} are not nested")
-    return Orientation(g.edges, tuple(heads))

@@ -77,12 +77,6 @@ def labeling_to_obj(lab: FaceLabeling) -> dict:
     return {"vertices": [list(f.elements) for f in lab.faces]}
 
 
-def labeling_from_obj(obj) -> FaceLabeling:
-    if not isinstance(obj, dict) or not isinstance(obj.get("vertices"), list):
-        raise ValueError("labeling JSON must carry a vertices list")
-    return FaceLabeling(tuple(VertexSet.from_mask(_vertex_mask(f)) for f in obj["vertices"]))
-
-
 def graph_to_obj(g: LabeledGraph) -> dict:
     if g.labels is None:
         vertices = g.vertex_count
@@ -149,6 +143,3 @@ def dumps(obj) -> str:
     """Canonical single-line JSON text (insertion-ordered keys, no floats)."""
     return json.dumps(obj, separators=(", ", ": "))
 
-
-def loads(text: str):
-    return json.loads(text)

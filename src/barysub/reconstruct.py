@@ -5,9 +5,12 @@ to isomorphism: orient the graph transitively, read each vertex as the set
 of sources below it, and check that those sets reproduce a face family.
 Every successful orientation yields the same complex up to isomorphism, so
 the reconstruction is well defined; the report says how many orientations
-were tried and whether more than one of them succeeded (which happens
-exactly for the boundary-of-simplex family, where the poset and its
-reversal both arise from complexes).
+were tried and whether more than one of them succeeded. Among connected
+complexes on at most five vertices that happens exactly for simplex
+boundaries and cycles, whose reversed face poset is again a face poset, and
+for full simplices on three or more vertices. There the whole reversal
+fails, but reversing the order below the top face succeeds, since the
+proper faces form a simplex boundary.
 
 Graphs and posets live on int bit masks. The graph splits into components
 by OR-ing its adjacency masks (``LabeledGraph.adj``), and the orientation
@@ -59,8 +62,11 @@ def poset_from_orientation(g: LabeledGraph, o: Orientation) -> FacePoset:
 
     The order is transitive exactly when ``up[b]`` lies in ``up[a]`` for every
     arc a->b. That also rules out directed cycles: around one, the first
-    vertex would end up above itself.
+    vertex would end up above itself. Raises ValueError unless ``o`` directs
+    exactly the edges of ``g``.
     """
+    if o.edges != g.edges:
+        raise ValueError("orientation does not direct the graph's edges")
     arcs = o.arcs()
     p = FacePoset.from_relation(range(g.vertex_count), arcs)
     for tail, head in arcs:
@@ -251,10 +257,3 @@ def reconstruct_from_subdivision(b: SimplicialComplex) -> ReconstructionReport:
         return ReconstructionReport(STATUS_NOT_FLAG, None, 0, False)
     return reconstruct_from_comparability_graph(g)
 
-
-def is_complex_comparability_graph(g: LabeledGraph) -> bool:
-    """Whether g is the face-poset comparability graph of some complex."""
-    try:
-        return reconstruct_from_comparability_graph(g).status == STATUS_OK
-    except EmptyInput:
-        return False

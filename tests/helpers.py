@@ -166,7 +166,7 @@ def _unpruned_canonical_connected(c: SimplicialComplex):
 
 
 def unpruned_canonical(c: SimplicialComplex):
-    """(canonical_form sort key, canonical_labeling mapping) from the search
+    """(canonical_form sort key, canonical labeling) from the search
     without automorphism pruning, components assembled as the library does."""
     n = c.ground_size
     if c.void:
@@ -268,14 +268,27 @@ def brute_is_transitively_orientable(g: LabeledGraph) -> bool:
     return place(0)
 
 
+def relation(p: FacePoset) -> set[tuple[int, int]]:
+    """The pairs (a, b) with a below b, read from ``p.up`` one bit at a time."""
+    els = p.elements
+    return {
+        (a, els[j]) for a, m in zip(els, p.up) for j in range(len(els)) if m >> j & 1
+    }
+
+
+def reversed_poset(p: FacePoset) -> FacePoset:
+    """The same elements with every pair of the relation turned around."""
+    return FacePoset.from_relation(p.elements, {(b, a) for a, b in relation(p)})
+
+
 def as_orientation(g: LabeledGraph, p: FacePoset) -> Orientation:
     """The orientation of g's edges that the poset p on g's vertices gives.
 
-    Reads each edge's direction from ``p.relation``; asserts that every edge
+    Reads each edge's direction from ``relation(p)``; asserts that every edge
     is related in exactly one direction and that no pair lies off the edges.
     """
     assert p.elements == tuple(range(g.vertex_count)), (g, p)
-    rel = p.relation
+    rel = relation(p)
     heads = []
     for i, j in g.edges:
         assert ((i, j) in rel) != ((j, i) in rel), (g, p, (i, j))
@@ -293,7 +306,8 @@ def brute_complex_from_face_poset(p: FacePoset):
     every face of the complex the sink images generate. The enumeration is
     exponential in the facet sizes; small inputs only.
     """
-    sources = p.sources()
+    rel = relation(p)
+    sources = tuple(v for v in p.elements if not any(b == v for _, b in rel))
     if not sources:
         raise NotAFacePoset("poset has no minimal elements")
     if len(sources) > 64:
@@ -303,7 +317,7 @@ def brute_complex_from_face_poset(p: FacePoset):
     for v in p.elements:
         m = 0
         for s in sources:
-            if s == v or p.less(s, v):
+            if s == v or (s, v) in rel:
                 m |= src_bit[s]
         down[v] = m
     masks = list(down.values())
@@ -313,28 +327,15 @@ def brute_complex_from_face_poset(p: FacePoset):
         for b in down:
             if a == b:
                 continue
-            if (down[a] & ~down[b] == 0) != p.less(a, b):
+            if (down[a] & ~down[b] == 0) != ((a, b) in rel):
                 raise NotAFacePoset("order does not match down-set inclusion")
-    sinks = p.sinks()
+    sinks = [v for v in p.elements if not any(a == v for a, _ in rel)]
     c = complex_from_facets(len(sources), [VertexSet.from_mask(down[t]) for t in sinks])
     if {f.mask for f in c.facets} != {down[t] for t in sinks}:
         raise NotAFacePoset("maximal down-sets are not an antichain")
     if {f.mask for f in c.faces()} != set(masks):
         raise NotAFacePoset("down-sets do not form the full face family")
     return c, sources
-
-
-def brute_grades(p: FacePoset) -> tuple[int, ...]:
-    """Longest chain below each element, by recursion over ``p.relation``."""
-    below: dict[int, list[int]] = {v: [] for v in p.elements}
-    for a, b in p.relation:
-        below[b].append(a)
-
-    @functools.lru_cache(maxsize=None)
-    def grade(v: int) -> int:
-        return max((grade(a) + 1 for a in below[v]), default=0)
-
-    return tuple(grade(v) for v in p.elements)
 
 
 def chain_count(c: SimplicialComplex) -> int:
@@ -412,7 +413,10 @@ def random_complex(rng, n: int, max_facets: int | None = None) -> SimplicialComp
 def random_cover_complex(rng, n: int, max_facets: int | None = None) -> SimplicialComplex:
     """A random complex on [n] in which every singleton is a face."""
     c = random_complex(rng, n, max_facets)
-    missing = [v for v in range(1, n + 1) if v not in c.support]
+    covered = 0
+    for m in c.masks:
+        covered |= m
+    missing = [v for v in range(1, n + 1) if not covered >> (v - 1) & 1]
     if not missing:
         return c
     return complex_from_facets(n, [list(f.elements) for f in c.facets] + [[v] for v in missing])

@@ -22,22 +22,22 @@ from barysub import (
     VertexSet,
     are_isomorphic,
     canonical_form,
-    canonical_labeling,
     complex_from_facets,
     empty_complex,
     full_simplex,
     relabel_complex,
     void_complex,
 )
-from barysub.core import _mask_key, induced_components
+from barysub.core import _canonical, _mask_key, induced_components
 from barysub.derived import alexander_dual, barycentric_subdivision, complement_complex
 from barysub.errors import NotAFacePoset
 from barysub.graphs import clique_complex, comparability_graph, transitive_orientations
 from barysub.reconstruct import complex_from_face_poset, reconstruct_from_comparability_graph
 from barysub.verify import enumerate_complexes
 
-# SHA-256 of repr((form.sort_key, labeling.mapping)) for the barycentric
-# subdivision of the 5-simplex, as the unpruned search computes them.
+# SHA-256 of repr((form.sort_key, labeling)) for the barycentric subdivision
+# of the 5-simplex, as the unpruned search computes them; the labeling is
+# the tuple of canonical labels, ``_canonical(c)[1]``.
 SD5_DIGEST = "24173dac779c1aaf9c6fcc701d3f533fef7bc08505f73e6b9c630b39ff3b8012"
 
 
@@ -523,7 +523,7 @@ def test_canonical_labeling_maps_to_form():
     rng = random.Random(31)
     for _ in range(25):
         c = helpers.random_complex(rng, rng.randint(1, 7))
-        lab = canonical_labeling(c)
+        lab = _canonical(c)[1]
         form = canonical_form(c)
         assert relabel_complex(c, lab).facets == form.facets
 
@@ -566,7 +566,7 @@ def test_pruned_canonical_search_matches_the_unpruned_oracle():
     cases += [_complete_1_complex(n) for n in range(3, 9)]  # relabeling fixes these
     cases += [helpers.random_complex(rng, rng.randint(1, 10)) for _ in range(150)]
     for c in cases:
-        got = (canonical_form(c).sort_key, canonical_labeling(c).mapping)
+        got = (canonical_form(c).sort_key, _canonical(c)[1])
         assert got == helpers.unpruned_canonical(c), c
 
 
@@ -578,15 +578,15 @@ def test_canonical_forms_of_highly_symmetric_complexes():
     for n in (9, 10):
         k = _complete_1_complex(n)
         assert canonical_form(k).facets == k.facets
-        assert canonical_labeling(k).mapping == tuple(range(1, n + 1))
+        assert _canonical(k)[1] == tuple(range(1, n + 1))
         assert canonical_form(_shuffled(rng, k)) == canonical_form(k)
     skeleton = complex_from_facets(8, list(combinations(range(1, 9), 3)))
     assert canonical_form(skeleton).facets == skeleton.facets
-    assert canonical_labeling(skeleton).mapping == tuple(range(1, 9))
+    assert _canonical(skeleton)[1] == tuple(range(1, 9))
     assert canonical_form(_shuffled(rng, skeleton)) == canonical_form(skeleton)
     sd5 = _subdivided_simplex(5)
     form = canonical_form(sd5)
-    pinned = (form.sort_key, canonical_labeling(sd5).mapping)
+    pinned = (form.sort_key, _canonical(sd5)[1])
     assert hashlib.sha256(repr(pinned).encode()).hexdigest() == SD5_DIGEST
     for _ in range(2):
         assert canonical_form(_shuffled(rng, sd5)) == form
@@ -638,3 +638,12 @@ def test_vertex_bijection_validation():
 def test_complex_equality_is_labeled():
     assert cx(3, (1, 2)) != cx(3, (2, 3))
     assert cx(3, (1, 2)) == complex_from_facets(3, [[2, 1]])
+
+
+def test_every_exported_name_resolves_once():
+    import barysub
+
+    assert len(set(barysub.__all__)) == len(barysub.__all__)
+    namespace = {}
+    exec("from barysub import *", namespace)  # an unresolved name raises here
+    assert set(barysub.__all__) <= namespace.keys()

@@ -13,6 +13,7 @@ from helpers import facet_sets
 
 from barysub import (
     EmptyInput,
+    FacePoset,
     LabeledGraph,
     UniverseTooLarge,
     are_isomorphic,
@@ -22,8 +23,6 @@ from barysub import (
     full_simplex,
     graph_canonical_form,
     graphs_isomorphic,
-    inclusion_orientation,
-    poset_from_orientation,
     reconstruct_from_comparability_graph,
     relabel_complex,
     transitive_orientations,
@@ -347,8 +346,11 @@ def test_witness_checks_agree_with_canonical_forms():
         assert all(g.labels[v].mask.bit_count() == 1 for v in rec.source_map)
         if len(induced_components(g.adj, (1 << g.vertex_count) - 1)) == 1:
             connected += 1
-            assert transitive_orientations(g)[0] == poset_from_orientation(
-                g, inclusion_orientation(g))
+            inclusion = FacePoset.from_relation(range(g.vertex_count), {
+                (i, j) for i, a in enumerate(g.labels) for j, b in enumerate(g.labels)
+                if a != b and a.issubset(b)
+            })
+            assert transitive_orientations(g)[0] == inclusion
         perm = list(range(1, cx.ground_size + 1))
         rng.shuffle(perm)
         h = comparability_graph(relabel_complex(cx, tuple(perm)))

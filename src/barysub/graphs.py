@@ -5,12 +5,13 @@ Vertices are 0-based integers; edges are sorted (i, j) pairs with i < j.
 integers make size-free, so graphs may exceed the 64-element complex cap;
 only the ops that build complexes enforce it. Maximal cliques, the
 implication classes of the transitive-orientation search (grown by
-Γ-forcing) and its directed-triangle test on arc masks all work on those
-masks. A transitive orientation is a strict order, so the search
-returns each one as a ``FacePoset``: one up-set mask per vertex, its arc
-masks at a leaf. The same class phase alone decides orientability, and the
-number of orientations is Gallai's product over the modular decomposition,
-whose components, co-components and prime-node modules (by partition
+Γ-forcing, cached as ``LabeledGraph.implication_classes``) and its
+directed-triangle test on arc masks all work on those masks. A
+transitive orientation is a strict order, so the search returns each one
+as a ``FacePoset``: one up-set mask per vertex, its arc masks at a leaf.
+The same class phase alone decides orientability, and the number of
+orientations is Gallai's product over the modular decomposition, whose
+components, co-components and prime-node modules (by partition
 refinement) are found on the same masks.
 """
 
@@ -65,6 +66,51 @@ class LabeledGraph:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         return tuple(adj)
+
+    @functools.cached_property
+    def implication_classes(self) -> list[list[tuple[int, int]]] | None:
+        """The arc implication classes, each as its side-0 arcs (tail, head).
+
+        None when some class holds both directions of an edge, which happens
+        exactly when the graph is not a comparability graph (Golumbic 1980,
+        ch. 5). Computed on first read and cached, as ``adj``.
+        """
+        n = self.vertex_count
+        adj = self.adj
+        # Γ-forcing: arc a->b forces a->c for every c adjacent to a but not
+        # to b, and c->b for every c adjacent to b but not to a. Each class
+        # grows from the first edge not yet in a class, oriented min -> max;
+        # that is its side 0, and side 1 is the same arcs reversed. fwd[v]
+        # and back[v] hold the side-0 heads and tails at v over all classes
+        # so far. They need not be per class: Γ is symmetric and commutes
+        # with reversal, so forcing never reaches an arc of an earlier class
+        # or its reverse, and any hit is the class's own.
+        fwd = [0] * n
+        back = [0] * n
+        classes: list[list[tuple[int, int]]] = []
+        for i, j in self.edges:
+            if (fwd[i] | back[i]) >> j & 1:
+                continue
+            fwd[i] |= 1 << j
+            back[j] |= 1 << i
+            grown = [(i, j)]
+            for a, b in grown:  # grown is extended while it is walked
+                heads = adj[a] & ~adj[b] & ~(1 << b)
+                tails = adj[b] & ~adj[a] & ~(1 << a)
+                if heads & back[a] or tails & fwd[b]:
+                    return None
+                new_heads = heads & ~fwd[a]
+                new_tails = tails & ~back[b]
+                fwd[a] |= new_heads
+                back[b] |= new_tails
+                for c in _mask_elements(new_heads):
+                    back[c - 1] |= 1 << a
+                    grown.append((a, c - 1))
+                for c in _mask_elements(new_tails):
+                    fwd[c - 1] |= 1 << b
+                    grown.append((c - 1, b))
+            classes.append(grown)
+        return classes
 
 
 def _maximal_cliques(adj: tuple[int, ...], n: int) -> list[int]:
@@ -186,50 +232,6 @@ class FacePoset:
         return cls(elements, tuple(up))
 
 
-def _implication_classes(g: LabeledGraph) -> list[list[tuple[int, int]]] | None:
-    """The arc implication classes of g, each as its side-0 arcs (tail, head).
-
-    None when some class holds both directions of an edge, which happens
-    exactly when g is not a comparability graph (Golumbic 1980, ch. 5).
-    """
-    n = g.vertex_count
-    adj = g.adj
-    # Implication classes by Γ-forcing: arc a->b forces a->c for every c
-    # adjacent to a but not to b, and c->b for every c adjacent to b but not
-    # to a. Each class grows from the first edge not yet in a class,
-    # oriented min -> max; that is its side 0, and side 1 is the same arcs
-    # reversed. fwd[v] and back[v] hold the side-0 heads and tails at v over
-    # all classes so far. They need not be per class: Γ is symmetric and
-    # commutes with reversal, so forcing never reaches an arc of an earlier
-    # class or its reverse, and any hit is the class's own.
-    fwd = [0] * n
-    back = [0] * n
-    classes: list[list[tuple[int, int]]] = []
-    for i, j in g.edges:
-        if (fwd[i] | back[i]) >> j & 1:
-            continue
-        fwd[i] |= 1 << j
-        back[j] |= 1 << i
-        grown = [(i, j)]
-        for a, b in grown:  # grown is extended while it is walked
-            heads = adj[a] & ~adj[b] & ~(1 << b)
-            tails = adj[b] & ~adj[a] & ~(1 << a)
-            if heads & back[a] or tails & fwd[b]:
-                return None
-            new_heads = heads & ~fwd[a]
-            new_tails = tails & ~back[b]
-            fwd[a] |= new_heads
-            back[b] |= new_tails
-            for c in _mask_elements(new_heads):
-                back[c - 1] |= 1 << a
-                grown.append((a, c - 1))
-            for c in _mask_elements(new_tails):
-                fwd[c - 1] |= 1 << b
-                grown.append((c - 1, b))
-        classes.append(grown)
-    return classes
-
-
 def transitive_orientations(g: LabeledGraph) -> list[FacePoset]:
     """All transitive orientations, sorted by direction bits over the edge list.
 
@@ -242,13 +244,14 @@ def transitive_orientations(g: LabeledGraph) -> list[FacePoset]:
     emits the sorted order directly: it decides the classes in first-edge
     order and tries first the side that points each class's first edge
     min -> max. Empty result means the graph is not a comparability graph.
-    Intended scale is graphs whose class count is modest (face-poset graphs
-    have very few classes); pathological inputs may still take exponential
-    time in the class count. ``count_transitive_orientations`` gives the
-    length of the result without the search.
+    The search has one level per class and may take time exponential in
+    their number, so callers with arbitrary input count first:
+    ``count_transitive_orientations`` gives the length of the result
+    without the search. Reconstruction searches only components with at
+    most two classes, which have at most four orientations.
     """
     n = g.vertex_count
-    classes = _implication_classes(g)
+    classes = g.implication_classes
     if classes is None:
         return []
     # sides[p]: class p's arcs as (tail, head), side 0 then side 1
@@ -292,7 +295,7 @@ def count_transitive_orientations(g: LabeledGraph) -> int:
     contributes 2, the two orientations of its quotient. The tree is walked
     with an explicit stack of vertex masks, so its depth costs no recursion.
     """
-    if _implication_classes(g) is None:
+    if g.implication_classes is None:
         return 0
     adj = g.adj
     co = [~a for a in adj]

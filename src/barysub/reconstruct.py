@@ -18,14 +18,41 @@ search returns each order as a ``FacePoset`` (one up-set mask per element),
 so the source-set images and the face-family check are word operations on
 Python integers, with no cap on the element count.
 
-A component with twins is refused before any orientation is enumerated.
-True twins (the same closed neighbourhood) are adjacent, so as faces
-a ⊊ b, and the face {w} of a vertex w in b - a sees b but not a. False
-twins (the same open neighbourhood, so not adjacent) are single vertices:
-were |f| >= 2, each {v} ⊊ f would see the twin g, making f ⊊ g; and single
-vertices are never adjacent. So every orientation of such a component
-fails the face-poset check, and their number comes from the modular
-decomposition (``graphs.count_transitive_orientations``), not the search.
+A connected face-poset graph has exactly 1, 2 or 4 transitive
+orientations: 1 for a point, 4 for a simplex on three or more vertices and
+2 otherwise. Let G be the face-poset graph of a connected complex Δ. Every
+module M of G with 2 <= |M| < |V(G)| is a set of vertex faces {v} (false
+twins) or, when Δ is the simplex on W, the set of every face but W:
+  (a) Let M hold a face F with |F| >= 2. Were every {v} in F outside M,
+      each would see F and so all of M, and every member would contain F;
+      a second member G has some w in G - F, and {w} sees G but not F, so
+      {w} is a member not containing F. So some {v} in F is in M. Then
+      every {u} in F is in M, or it would see F but not {v}, and so is
+      every nonempty H in F, or it would see F but miss some {v} in F - H.
+      So M is the face poset of a subcomplex Γ on a vertex set W, |W| >= 2.
+  (b) A face outside M sees all of M exactly when it contains W and none
+      of it exactly when it misses W, so no face outside Γ meets W without
+      containing it.
+  (c) If no face outside Γ meets W, connectedness gives Γ = Δ and M is
+      all of V(G). Otherwise W is a face, no face X contains W properly
+      (for w in W and x in X - W, the face {w, x} would break (b)), and no
+      edge leaves W, so Δ is the simplex on W and M its proper faces.
+Gallai's product over the modular decomposition (Gallai 1967; McConnell &
+Spinrad 1999; ``graphs.count_transitive_orientations``) then gives the
+count. When Δ is not a simplex the root is prime, since a series root
+needs a face comparable to every face, and its other nodes are parallel,
+so the count is 2. The simplex on W with |W| >= 3 is a series node
+{W} + ∂W, giving 2!, over the prime boundary, giving 2 more, so 4. A point
+gives 1 and an edge 2.
+
+So a component whose count is 0 or above 4 is refused at once, with that
+count as its orientations tried. The count costs a modular decomposition,
+so it is computed only when the component's implication classes (Golumbic
+1980, ch. 5) are None or more than two. Each class has two sides, so at
+most two classes allow at most 4 orientations, and the search has at most
+4 leaves and depth 2. By Gallai, a prime node's edges form one class and
+the edges between two children of a series node another, so a face-poset
+component has at most two classes and never pays for the count.
 """
 
 from __future__ import annotations
@@ -140,7 +167,7 @@ class ReconstructionReport:
     ``status`` is "ok", "not_orientable", "not_face_poset" or "not_flag";
     ``complex`` is the recovered complex when ok, else None;
     ``orientations_tried`` counts the transitive orientations examined over
-    all components. For a component refused for twins the orientations
+    all components. For a component the count refuses, the orientations
     are counted by the modular decomposition, not enumerated; the number is
     the same, since each of them would fail the face-poset check.
     ``both_orientations_admissible`` says whether some
@@ -161,15 +188,16 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
 
     Works per connected component: enumerate transitive orientations, keep
     those whose poset is a face poset, and take the disjoint union of the
-    first survivor of each component. A component with true twins or
-    adjacent false twins has no survivor, so it is refused at once with its
-    orientation count. When a component has two or more survivors, their
-    canonical forms must agree (the rigidity self-check); a single survivor
-    needs no canonical form. Fails with "not_orientable" when some component
-    has no transitive orientation and "not_face_poset" when none of a
-    component's orientations is a face poset. Raises GroundSetTooLarge when
-    every component succeeds but their sources add up to more than the
-    64-element cap.
+    first survivor of each component. A component whose implication
+    classes are None or more than two is searched only if its orientation
+    count is 1 to 4; otherwise no orientation can survive, and it is
+    refused at once with that count. When a component has two or more
+    survivors, their canonical forms must agree (the rigidity self-check);
+    a single survivor needs no canonical form. Fails with "not_orientable"
+    when some component has no transitive orientation and "not_face_poset"
+    when none of a component's orientations is a face poset. Raises
+    GroundSetTooLarge when every component succeeds but their sources add
+    up to more than the 64-element cap.
     """
     if g.vertex_count == 0:
         raise EmptyInput("graph has no vertices")
@@ -188,22 +216,16 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
             for k, i in enumerate(verts)
             for j in _mask_elements(adj[i] >> (i + 1) << (i + 1))
         ))
-        groups: dict[int, int] = {}  # open neighbourhood -> its vertices
-        for v in verts:
-            groups[adj[v]] = groups.get(adj[v], 0) | 1 << v
-        twinned = sum(m for m in groups.values() if m & (m - 1))
-        if len({adj[v] | 1 << v for v in verts}) < len(verts) or any(
-                adj[v - 1] & twinned for v in _mask_elements(twinned)):
-            # true twins, or adjacent false twins: every orientation fails
+        classes = sub.implication_classes
+        if classes is None or len(classes) > 2:
+            # a face-poset component has 1, 2 or 4 orientations (see above)
             k = count_transitive_orientations(sub)
-            tried += k
-            status = STATUS_NOT_FACE_POSET if k else STATUS_NOT_ORIENTABLE
-            break
+            if not 0 < k <= 4:
+                tried += k
+                status = STATUS_NOT_FACE_POSET if k else STATUS_NOT_ORIENTABLE
+                break
         posets = transitive_orientations(sub)
         tried += len(posets)
-        if not posets:
-            status = STATUS_NOT_ORIENTABLE
-            break
         successes: list[tuple[SimplicialComplex, tuple[int, ...]]] = []
         for poset in posets:
             try:

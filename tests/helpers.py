@@ -441,6 +441,10 @@ def cycle_graph(n: int) -> LabeledGraph:
     return LabeledGraph(n, tuple(edges))
 
 
+def path_graph(n: int) -> LabeledGraph:
+    return LabeledGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
 def complete_graph(n: int) -> LabeledGraph:
     return LabeledGraph(n, tuple(combinations(range(n), 2)))
 
@@ -485,12 +489,13 @@ def universe_through(n_max: int, up_to_iso: bool = True):
 
 
 def unfiltered_reconstruct(g: LabeledGraph) -> ReconstructionReport:
-    """``reconstruct_from_comparability_graph`` without the twin prefilter.
+    """``reconstruct_from_comparability_graph`` without the count gate.
 
     Every component enumerates all its transitive orientations and tries
     each on the face-poset check, so ``orientations_tried`` is a count of
-    posets actually examined. Kept as the oracle the prefiltered path must
-    reproduce report for report.
+    posets actually examined. Kept as the oracle the gated path must
+    reproduce report for report; it finishes only where the orientations
+    are few enough to list.
     """
     if g.vertex_count == 0:
         raise EmptyInput("graph has no vertices")

@@ -14,6 +14,7 @@ from helpers import cx, facet_sets
 
 import barysub.reconstruct as reconstruct_module
 from barysub import jsonio
+from barysub.core import induced_components
 from barysub import (
     EmptyInput,
     FacePoset,
@@ -523,46 +524,68 @@ def _complement(g: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(g.vertex_count, tuple(e for e in pairs if e not in present))
 
 
-def test_twin_prefilter_reports_match_the_unfiltered_search(tmp_path):
+def test_reconstruction_reports_match_the_unfiltered_search(tmp_path, monkeypatch):
     hexagon = helpers.cycle_graph(6)
     k3 = helpers.complete_graph(3)
     graphs = [g for g in helpers.orientation_count_graphs() if g.vertex_count]
     graphs += [_complement(g) for g in graphs[:300]]
-    # twins in a later component: earlier components' counts still add up
+    # a refusal in a later component: earlier components' counts still add up
     graphs += [
         _disjoint_union(hexagon, k3),
         _disjoint_union(hexagon, helpers.cycle_graph(5), k3),
         _disjoint_union(hexagon, k3, helpers.cycle_graph(5)),
     ]
+    # no twins of either kind, 2^(m+1) orientations
+    graphs += [helpers.module_path(m, helpers.path_graph(4)) for m in range(1, 9)]
     graphs += _workload_graphs("reject", tmp_path / "reject")
     graphs += _workload_graphs("roundtrip", tmp_path / "roundtrip")
-    twins = 0
+    refused = searched = 0
+
+    def count(g):
+        nonlocal refused
+        k = count_transitive_orientations(g)
+        refused += not 0 < k <= 4
+        return k
+
+    def search(g):
+        nonlocal searched
+        searched += 1
+        return transitive_orientations(g)
+
+    monkeypatch.setattr(reconstruct_module, "count_transitive_orientations", count)
+    monkeypatch.setattr(reconstruct_module, "transitive_orientations", search)
     for g in graphs:
         assert reconstruct_from_comparability_graph(g) == helpers.unfiltered_reconstruct(g), g
-        twins += helpers.has_true_twins(g)
-    # both paths are exercised: 286 of the 876 graphs have twins
-    assert 100 < twins < len(graphs) - 100
+    # both paths are exercised: 223 components are refused by the count and
+    # 1,010 reach the search
+    assert refused > 100 and searched > 100
 
 
-def test_twin_components_are_refused_without_enumeration(monkeypatch):
+def test_count_refusals_never_reach_the_search(monkeypatch):
+    # K2 and C4 (the cocktail party on 2 parts) have 2 orientations and one
+    # implication class each: they are searched, and neither orientation fits
+    for g in (helpers.complete_graph(2), helpers.cycle_graph(4)):
+        r = reconstruct_from_comparability_graph(g)
+        assert r == reconstruct_module.ReconstructionReport(STATUS_NOT_FACE_POSET, None, 2, False)
+
     def no_search(g):
-        raise AssertionError("a component with twins reached the search")
+        raise AssertionError("a component the count refuses reached the search")
 
     monkeypatch.setattr(reconstruct_module, "transitive_orientations", no_search)
-    for n in range(2, 47):
+    for n in range(3, 47):
         r = reconstruct_from_comparability_graph(helpers.complete_graph(n))
         assert r.status == STATUS_NOT_FACE_POSET
         assert r.orientations_tried == factorial(n)
         assert r.complex is None and not r.both_orientations_admissible
-    # a twin component that no orientation fits: a 5-cycle with a twin of 0
+    # a component that no orientation fits: a 5-cycle with a twin of 0
     c5_twin = LabeledGraph(
         6, tuple(sorted(helpers.cycle_graph(5).edges + ((0, 5), (1, 5), (4, 5))))
     )
     r = reconstruct_from_comparability_graph(c5_twin)
     assert r == reconstruct_module.ReconstructionReport(STATUS_NOT_ORIENTABLE, None, 0, False)
-    # adjacent false twins and no true twins: cocktail parties up to 46 parts
-    # (46! orientations) and P_m[C4] up to 64 vertices
-    graphs = [helpers.cocktail_party(k) for k in range(2, 47)]
+    # no true twins: cocktail parties on 3 to 46 parts (46! orientations)
+    # and P_m[C4] up to 64 vertices
+    graphs = [helpers.cocktail_party(k) for k in range(3, 47)]
     graphs += [helpers.module_path(m, helpers.cycle_graph(4)) for m in range(2, 17)]
     for g in graphs:
         assert not helpers.has_true_twins(g)
@@ -570,3 +593,31 @@ def test_twin_components_are_refused_without_enumeration(monkeypatch):
         assert r == reconstruct_module.ReconstructionReport(
             STATUS_NOT_FACE_POSET, None, count_transitive_orientations(g), False
         ), g
+    # no twins of either kind: P_m[P4] has 2^(m+1) orientations
+    for m in [*range(2, 65), 300]:
+        r = reconstruct_from_comparability_graph(helpers.module_path(m, helpers.path_graph(4)))
+        assert r == reconstruct_module.ReconstructionReport(
+            STATUS_NOT_FACE_POSET, None, 2 ** (m + 1), False
+        ), m
+
+
+def test_face_poset_graphs_have_1_2_or_4_orientations():
+    # A connected face-poset graph has (implication classes, orientations)
+    # (0, 1), (1, 2) or (2, 4), and 4 exactly for a simplex on 3 or more
+    # vertices, so the count gate never refuses a complex that reconstructs
+    rng = random.Random(151)
+    cases = list(helpers.universe_through(5))
+    cases += [helpers.random_complex(rng, rng.randint(3, 7)) for _ in range(300)]
+    pairs = {(0, 1), (1, 2), (2, 4)}
+    seen = []
+    for c in cases:
+        g = comparability_graph(c)
+        if len(induced_components(g.adj, (1 << g.vertex_count) - 1)) > 1:
+            continue
+        pair = (len(g.implication_classes), count_transitive_orientations(g))
+        assert pair in pairs, c
+        simplex = len(c.masks) == 1 and c.masks[0].bit_count() >= 3
+        assert (pair[1] == 4) == simplex, c
+        seen.append(pair)
+    # 460 of the 508 complexes are connected, and each pair occurs
+    assert len(seen) > 400 and set(seen) == pairs

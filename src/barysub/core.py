@@ -22,7 +22,22 @@ from .errors import EmptyInput, GroundSetTooLarge, SkeletonIndexOutOfRange
 MAX_GROUND = 64
 
 
+# _BYTE_ELEMENTS[k][b] holds the vertices that byte b sets in byte k of a
+# mask. Each table is built by doubling: adding vertex v appends, to the
+# bytes so far, the same bytes with v's bit set.
+_BYTE_ELEMENTS = tuple(
+    functools.reduce(lambda t, v: t + [e + (v,) for e in t], range(base, base + 8), [()])
+    for base in range(1, MAX_GROUND, 8))
+
+
 def _mask_elements(mask: int) -> tuple[int, ...]:
+    # A byte is one lookup. A dense mask of at most 64 bits joins its eight
+    # bytes' tuples; one loop step per set bit is cheaper up to about 10
+    # bits, and it is the only way past 64 bits (graph masks). mask >= 0.
+    if mask < 256:
+        return _BYTE_ELEMENTS[0][mask]
+    if mask.bit_count() > 10 and not mask >> 64:
+        return sum(map(list.__getitem__, _BYTE_ELEMENTS, mask.to_bytes(8, "little")), ())
     out = []
     while mask:
         low = mask & -mask
@@ -54,16 +69,25 @@ def induced_components(adj, left: int) -> list[int]:
     return comps
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int (and JSON true/false decode to it); it is not
+    # an integer here.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # _REV8[b] is the byte b with its eight bits in reverse order.
 _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _mask_key(mask: int) -> tuple[int, int]:
+def _mask_key(mask: int) -> int:
     # Deterministic face order: cardinality, then lex on sorted elements. Of
     # two sets of one size, the lex-smaller one holds the least element of
     # their symmetric difference, so its mask with all 64 bits reversed is
-    # the larger. to_bytes raises OverflowError past 64 bits, not misorders.
-    return (mask.bit_count(), -int.from_bytes(mask.to_bytes(8, "little").translate(_REV8), "big"))
+    # the larger. That reversal is below 2**64, so subtracting it from the
+    # cardinality shifted past bit 64 keeps sizes apart in one int. to_bytes
+    # raises OverflowError past 64 bits, not misorders.
+    return (mask.bit_count() << 64) - int.from_bytes(
+        mask.to_bytes(8, "little").translate(_REV8), "big")
 
 
 @functools.total_ordering
@@ -81,7 +105,8 @@ class VertexSet:
     def __init__(self, elements=()):
         mask = 0
         for e in elements:
-            e = int(e)
+            if not _is_int(e):
+                raise ValueError(f"vertex {e!r} must be an integer")
             if not 1 <= e <= MAX_GROUND:
                 raise ValueError(f"vertex {e} outside 1..{MAX_GROUND}")
             mask |= 1 << (e - 1)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 
-from .core import (MAX_GROUND, SimplicialComplex, VertexSet, _generated_complex, _mask_elements,
-                   void_complex)
+from .core import (MAX_GROUND, SimplicialComplex, VertexSet, _generated_complex, _is_int,
+                   _mask_elements, void_complex)
 from .derived import FaceLabeling
 from .errors import GroundSetTooLarge
 from .graphs import LabeledGraph
@@ -29,11 +29,6 @@ def complex_to_obj(cx: SimplicialComplex) -> dict:
     if cx.void:
         obj["void"] = True
     return obj
-
-
-def _is_int(value) -> bool:
-    # JSON true/false decode to bool, a subclass of int; they are not integers here.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def complex_from_obj(obj) -> SimplicialComplex:

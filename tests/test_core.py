@@ -28,7 +28,7 @@ from barysub import (
     relabel_complex,
     void_complex,
 )
-from barysub.core import _canonical, _mask_key, induced_components
+from barysub.core import _canonical, _mask_elements, _mask_key, induced_components
 from barysub.derived import alexander_dual, barycentric_subdivision, complement_complex
 from barysub.errors import NotAFacePoset
 from barysub.graphs import clique_complex, comparability_graph, transitive_orientations
@@ -67,10 +67,44 @@ def test_vertexset_order_is_size_then_lex():
         width = rng.randint(1, 64)
         masks.add(rng.getrandbits(width) | 1 << (width - 1))
     masks |= {m >> 1 for m in list(masks) if m > 1}
+    assert all(type(_mask_key(m)) is int for m in masks)
     by_int = sorted(masks, key=_mask_key)
     assert by_int == sorted(masks, key=lambda m: VertexSet.from_mask(m).sort_key)
     with pytest.raises(OverflowError):
         _mask_key(1 << 64)
+
+
+def test_mask_elements_matches_a_per_bit_oracle():
+    def oracle(mask):
+        return tuple(i + 1 for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1")
+
+    # every byte and the first mask past one byte: the table lookup
+    masks = list(range(257))
+    # 10 and 11 bits set, on each side of the loop / byte-join crossover,
+    # at every width from 11 to 64 bits; then the 64-bit edge
+    rng = random.Random(7)
+    for width in range(11, 65):
+        for ones in (10, 11):
+            top = 1 << (width - 1)
+            masks.append(top | sum(1 << b for b in rng.sample(range(width - 1), ones - 1)))
+    masks += [2**64 - 1, 2**64]
+    # random masks, dense and sparse, up to the widest graph masks
+    masks += [rng.getrandbits(rng.randint(1, 64)) for _ in range(2000)]
+    masks += [rng.getrandbits(rng.randint(65, 4096)) for _ in range(200)]
+    masks += [1 << rng.randrange(4096) | 1 << rng.randrange(4096) for _ in range(200)]
+    for m in masks:
+        assert _mask_elements(m) == oracle(m), hex(m)
+
+
+def test_vertexset_rejects_non_integer_vertices():
+    # int() would truncate 1.9, take True for 1 and parse the characters of
+    # "12"; like the JSON reader, VertexSet takes none of them for a vertex
+    with pytest.raises(ValueError, match=r"vertex 1\.9 must be an integer"):
+        VertexSet([1.9])
+    with pytest.raises(ValueError, match="vertex True must be an integer"):
+        VertexSet([True])
+    with pytest.raises(ValueError, match="vertex '1' must be an integer"):
+        complex_from_facets(3, ["12"])
 
 
 def test_vertexset_bounds():

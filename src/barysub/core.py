@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, groupby
 
 from .errors import EmptyInput, GroundSetTooLarge, SkeletonIndexOutOfRange
 
@@ -31,12 +31,12 @@ _BYTE_ELEMENTS = tuple(
 
 
 def _mask_elements(mask: int) -> tuple[int, ...]:
-    # A byte is one lookup. A dense mask of at most 64 bits joins its eight
-    # bytes' tuples; one loop step per set bit is cheaper up to about 10
-    # bits, and it is the only way past 64 bits (graph masks). mask >= 0.
+    # A byte is one lookup; a mask of at most 64 bits joins its eight bytes'
+    # tuples. Wider masks (graphs past 64 vertices) take one loop step per
+    # set bit. mask >= 0.
     if mask < 256:
         return _BYTE_ELEMENTS[0][mask]
-    if mask.bit_count() > 10 and not mask >> 64:
+    if not mask >> 64:
         return sum(map(list.__getitem__, _BYTE_ELEMENTS, mask.to_bytes(8, "little")), ())
     out = []
     while mask:
@@ -259,11 +259,12 @@ class SimplicialComplex:
 
         A set is a nonface when it lies in no facet, so the minimal nonfaces
         are exactly the minimal transversals of the facet complements.
-        Computed by Berge multiplication, folding the complements in one at a
-        time: a minimal transversal t that misses the new edge E grows to
-        t ∪ {b} exactly when b avoids, for every v in t, the intersection of
-        v's private edges (earlier edges meeting t in v alone), so each step
-        emits only minimal transversals. Never enumerates the 2^n subsets.
+        Computed by the MMCS search (Murakami and Uno, 2014): a partial
+        transversal s takes, in turn, each candidate vertex v of the first
+        edge it misses. v is kept only if every vertex of s still has a
+        critical edge (one that s ∪ {v} meets in that vertex alone); v then
+        leaves the candidates of the later branches, so each minimal
+        transversal is found once. Never enumerates the 2^n subsets.
         """
         n = self.ground_size
         if self.void:
@@ -271,37 +272,35 @@ class SimplicialComplex:
         if not self.masks:
             return [VertexSet((i,)) for i in range(1, n + 1)]
         full = self.full_mask
-        hyperedges = sorted((full & ~m for m in self.masks), key=_mask_key)
-        # holds[u]: bit j set when hyperedges[j] contains vertex u+1
+        # the facets' complements, smallest first
+        edges = [full & ~m for m in reversed(self.masks)]
+        # holds[u]: bit j set when edges[j] contains vertex u+1
         holds = [0] * n
-        trans = [0]  # the minimal transversal of no edges
-        for i, edge in enumerate(hyperedges):
-            verts = _mask_elements(edge)
-            grow = [(1 << (b - 1), holds[b - 1]) for b in verts]
-            nxt = [t for t in trans if t & edge]
-            for t in trans:
-                if t & edge:
-                    continue
-                # twice: the earlier edges meeting t in two or more vertices
-                hs = [holds[v - 1] for v in _mask_elements(t)]
-                once = twice = 0
-                for h in hs:
-                    twice |= once & h
-                    once |= h
-                private = [h & ~twice for h in hs]
-                for bit, hb in grow:
-                    for p in private:
-                        if not p & ~hb:
-                            break  # every private edge of some v holds b
+        for j, edge in enumerate(edges):
+            for v in _mask_elements(edge):
+                holds[v - 1] |= 1 << j
+        found = []
+
+        def search(s: int, crit: list[int], cand: int, uncov: int) -> None:
+            # crit[k]: the critical edges of s's k-th vertex; uncov: the
+            # edges s misses, never 0 here; cand: the vertices s may take
+            branch = edges[(uncov & -uncov).bit_length() - 1] & cand
+            cand &= ~branch
+            for v in _mask_elements(branch):
+                hv = holds[v - 1]
+                bit = 1 << (v - 1)
+                for c in crit:
+                    if not c & ~hv:
+                        break  # v meets every critical edge of some vertex
+                else:
+                    if uncov & ~hv:
+                        search(s | bit, [c & ~hv for c in crit] + [uncov & hv], cand, uncov & ~hv)
                     else:
-                        nxt.append(t | bit)
-            trans = nxt
-            for b in verts:
-                holds[b - 1] |= 1 << i
-        # No two (t, b) pairs give the same set (t ∪ {b} meets the new edge in
-        # b alone), and none equals a kept t' (t' would then strictly contain
-        # the transversal t), so the family has no duplicates to remove.
-        return [VertexSet.from_mask(m) for m in sorted(trans, key=_mask_key)]
+                        found.append(s | bit)
+                cand |= bit
+
+        search(0, [], full, (1 << len(edges)) - 1)
+        return [VertexSet.from_mask(m) for m in sorted(found, key=_mask_key)]
 
     def skeleton(self, i: int) -> "SimplicialComplex":
         """The i-skeleton: all faces of dimension at most i. Requires 0 <= i <= dim."""
@@ -399,13 +398,11 @@ def _generated_complex(ground_size: int, masks) -> SimplicialComplex:
             raise ValueError(f"facet {shown} outside ground set of size {ground_size}")
         seen.add(m)
     maximal: list[int] = []
-    larger = 0  # maximal[:larger] are the kept masks larger than m
-    for m in sorted(seen, key=lambda m: -m.bit_count()):
-        if maximal and maximal[-1].bit_count() > m.bit_count():
-            larger = len(maximal)
-        # Distinct masks of one size never nest, so only larger ones can absorb m.
-        if not any(m | k == k for k in islice(maximal, larger)):
-            maximal.append(m)
+    # Distinct masks of one size never nest, so only the larger masks kept
+    # before m's size class can absorb m; a kept k holds m when m & ~k == 0.
+    for _, same_size in groupby(sorted(seen, key=int.bit_count, reverse=True), int.bit_count):
+        outside = [~k for k in maximal]
+        maximal += [m for m in same_size if all(map(m.__and__, outside))]
     return _antichain_complex(ground_size, maximal)
 
 

@@ -209,10 +209,9 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     for comp in induced_components(adj, (1 << g.vertex_count) - 1):
         verts = [v - 1 for v in _mask_elements(comp)]
         index = {v: k for k, v in enumerate(verts)}
-        # a connected graph is its one component's subgraph; any other
-        # component is closed under edges, and its subgraph is, for each of
-        # its vertices in turn, the neighbours above that vertex, re-indexed
-        sub = g if len(verts) == g.vertex_count else LabeledGraph(len(verts), tuple(
+        # a component is closed under edges: its subgraph is, for each of its
+        # vertices in turn, the neighbours above that vertex, re-indexed
+        sub = LabeledGraph(len(verts), tuple(
             (k, index[j - 1])
             for k, i in enumerate(verts)
             for j in _mask_elements(adj[i] >> (i + 1) << (i + 1))

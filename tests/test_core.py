@@ -80,8 +80,9 @@ def test_mask_elements_matches_a_per_bit_oracle():
 
     # every byte and the first mask past one byte: the table lookup
     masks = list(range(257))
-    # 10 and 11 bits set, on each side of the loop / byte-join crossover,
-    # at every width from 11 to 64 bits; then the 64-bit edge
+    # sparse and denser masks (10 and 11 bits set) at every width from 11
+    # to 64 bits, all through the byte join; then the edge of the join at
+    # 64 bits, past which the per-bit loop takes over
     rng = random.Random(7)
     for width in range(11, 65):
         for ones in (10, 11):

@@ -561,26 +561,6 @@ def test_reconstruction_reports_match_the_unfiltered_search(tmp_path, monkeypatc
     assert refused > 100 and searched > 100
 
 
-def test_connected_graphs_are_reconstructed_without_a_subgraph(monkeypatch):
-    # a connected graph is searched as it is; a disconnected one builds one
-    # subgraph per component (the reports are pinned by the test above)
-    built = []
-    real = reconstruct_module.LabeledGraph
-
-    def counting(*args):
-        built.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(reconstruct_module, "LabeledGraph", counting)
-    octahedron = cx(6, *[(a, b, c) for a in (1, 4) for b in (2, 5) for c in (3, 6)])
-    r = reconstruct_from_comparability_graph(comparability_graph(octahedron))
-    assert r.status == STATUS_OK and are_isomorphic(r.complex, octahedron)
-    assert built == []
-    hexagon_k3 = _disjoint_union(helpers.cycle_graph(6), helpers.complete_graph(3))
-    assert reconstruct_from_comparability_graph(hexagon_k3).status == STATUS_NOT_FACE_POSET
-    assert built == [6, 3]
-
-
 def test_count_refusals_never_reach_the_search(monkeypatch):
     # K2 and C4 (the cocktail party on 2 parts) have 2 orientations and one
     # implication class each: they are searched, and neither orientation fits

@@ -426,6 +426,9 @@ class VertexBijection:
 
     def __post_init__(self):
         n = len(self.mapping)
+        for img in self.mapping:
+            if not _is_int(img):
+                raise ValueError(f"image {img!r} must be an integer")
         if sorted(self.mapping) != list(range(1, n + 1)):
             raise ValueError("mapping is not a permutation of 1..n")
 

@@ -11,13 +11,14 @@ transitive orientation is a strict order, so the search returns each one
 as a ``FacePoset``: one up-set mask per vertex, its arc masks at a leaf.
 The same class phase alone decides orientability, and the number of
 orientations is Gallai's product over the modular decomposition, whose
-components, co-components and prime-node modules (by partition
-refinement) are found on the same masks.
+components and co-components are found on the same masks; a prime node's
+children are read off the one class that covers it.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
@@ -294,11 +295,26 @@ def count_transitive_orientations(g: LabeledGraph) -> int:
     (series) with k children contributes k!, and any other (prime) node
     contributes 2, the two orientations of its quotient. The tree is walked
     with an explicit stack of vertex masks, so its depth costs no recursion.
+
+    A prime node's children come from its implication class. By Gallai,
+    the classes of a comparability graph are the edges between the
+    children of each prime node, one class per node, and the edges between
+    each pair of children of a series node. A prime node's class covers
+    exactly that node, and two children of a series node never make up a
+    prime node, so the class whose vertices are s is prime node s's. Each
+    child is a module, so two of its vertices see the same vertices in
+    that class, and vertices of two children do not, since a prime
+    quotient has no twins. So the children are the groups of vertices of s
+    with one neighbour mask in the class. The map from a class's vertex
+    mask to its arcs is built once, when the walk meets its first prime
+    node.
     """
-    if g.implication_classes is None:
+    classes = g.implication_classes
+    if classes is None:
         return 0
     adj = g.adj
     co = [~a for a in adj]
+    spans = None
     count = 1
     todo = [(1 << g.vertex_count) - 1]
     while todo:
@@ -312,50 +328,17 @@ def count_transitive_orientations(g: LabeledGraph) -> int:
                 count *= factorial(len(children))
             else:
                 count *= 2
-                children = _prime_children(adj, s)
+                if spans is None:
+                    # each class by the mask of the vertices its arcs cover
+                    spans = {functools.reduce(int.__or__, (1 << t | 1 << h for t, h in a)): a
+                             for a in classes}
+                seen = defaultdict(int)
+                for t, h in spans[s]:
+                    seen[t] |= 1 << h
+                    seen[h] |= 1 << t
+                groups = defaultdict(int)
+                for v, nb in seen.items():
+                    groups[nb] |= 1 << v
+                children = groups.values()
         todo.extend(children)
     return count
-
-
-def _prime_children(adj: tuple[int, ...], s: int) -> list[int]:
-    """The maximal strong modules of a prime node s, as vertex masks.
-
-    Partition refinement from the least vertex v of s gives the maximal
-    modules of G[s] that avoid v: a part splits on any vertex of s outside
-    it that sees some but not all of it, until no part splits. Each of
-    those modules lies inside v's maximal strong module M or misses it. As
-    s is prime, the least module holding v and a vertex x is all of s
-    exactly when x is outside M, so one closure per part decides which
-    parts make up M with v.
-    """
-    low = s & -s
-    v = low.bit_length() - 1
-    parts = []
-    todo = [s ^ low]
-    while todo:
-        x = todo.pop()
-        first = adj[(x & -x).bit_length() - 1]
-        seen = 0
-        for m in _mask_elements(x):
-            seen |= adj[m - 1] ^ first
-        split = seen & s & ~x
-        if split:
-            y = adj[(split & -split).bit_length() - 1]
-            todo += (x & y, x & ~y)
-        else:
-            parts.append(x)
-    home = low
-    av = adj[v]
-    for x in parts:
-        # least module holding v and x's least vertex: add every vertex of s
-        # that tells some member apart from v, until none is left
-        rep = x & -x
-        module = low | rep
-        grow = (adj[rep.bit_length() - 1] ^ av) & s & ~module
-        while grow:
-            bit = grow & -grow
-            module |= bit
-            grow = (grow | adj[bit.bit_length() - 1] ^ av) & s & ~module
-        if module != s:
-            home |= x
-    return [home] + [x for x in parts if not x & home]

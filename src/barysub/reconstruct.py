@@ -45,14 +45,20 @@ so the count is 2. The simplex on W with |W| >= 3 is a series node
 {W} + ∂W, giving 2!, over the prime boundary, giving 2 more, so 4. A point
 gives 1 and an edge 2.
 
-So a component whose count is 0 or above 4 is refused at once, with that
-count as its orientations tried. The count costs a modular decomposition,
-so it is computed only when the component's implication classes (Golumbic
-1980, ch. 5) are None or more than two. Each class has two sides, so at
-most two classes allow at most 4 orientations, and the search has at most
-4 leaves and depth 2. By Gallai, a prime node's edges form one class and
-the edges between two children of a series node another, so a face-poset
-component has at most two classes and never pays for the count.
+The implication classes (Golumbic 1980, ch. 5) tell at once whether the
+count is at most 4. By Gallai, the edges between the children of a prime
+node form one class and those between two children of a series node
+another, so a comparability graph with p prime nodes and series nodes of
+k_1, k_2, ... children has p + Σ C(k_i, 2) classes and 2^p × Π k_i!
+orientations:
+  (d) With at most two classes every k_i is 2, so the count is
+      2^classes <= 4. With three or more, some k_i >= 3 gives a factor
+      k_i! >= 6, or else the count is 2^classes >= 8.
+So a face-poset component has at most two classes, and a component whose
+classes are None (no orientation) or more than two (more than 4) is
+refused at once; the count, a modular decomposition, is taken only to
+report its orientations tried. Any other component has at most 4
+orientations, so the search has at most 4 leaves and depth 2.
 """
 
 from __future__ import annotations
@@ -189,9 +195,9 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     Works per connected component: enumerate transitive orientations, keep
     those whose poset is a face poset, and take the disjoint union of the
     first survivor of each component. A component whose implication
-    classes are None or more than two is searched only if its orientation
-    count is 1 to 4; otherwise no orientation can survive, and it is
-    refused at once with that count. When a component has two or more
+    classes are None or more than two has no orientation or more than four,
+    so none can survive: it is refused at once, with its orientation count
+    as the orientations tried. When a component has two or more
     survivors, their canonical forms must agree (the rigidity self-check);
     a single survivor needs no canonical form. Fails with "not_orientable"
     when some component has no transitive orientation and "not_face_poset"
@@ -218,12 +224,10 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
         ))
         classes = sub.implication_classes
         if classes is None or len(classes) > 2:
-            # a face-poset component has 1, 2 or 4 orientations (see above)
-            k = count_transitive_orientations(sub)
-            if not 0 < k <= 4:
-                tried += k
-                status = STATUS_NOT_FACE_POSET if k else STATUS_NOT_ORIENTABLE
-                break
+            # a face-poset component has at most two classes (see above)
+            tried += count_transitive_orientations(sub)
+            status = STATUS_NOT_ORIENTABLE if classes is None else STATUS_NOT_FACE_POSET
+            break
         posets = transitive_orientations(sub)
         tried += len(posets)
         successes: list[tuple[SimplicialComplex, tuple[int, ...]]] = []

@@ -436,6 +436,14 @@ def random_graph(rng, n: int, p: float) -> LabeledGraph:
     return LabeledGraph(n, edges)
 
 
+def random_poset_graph(rng, n: int) -> LabeledGraph:
+    """Comparability graph of a random 2-dimensional poset on n elements:
+    i is below j when i < j and i comes before j in a random permutation.
+    Its modular decomposition often has one prime node over most vertices."""
+    rank = rng.sample(range(n), n)
+    return LabeledGraph(n, tuple((i, j) for i, j in combinations(range(n), 2) if rank[i] < rank[j]))
+
+
 def cycle_graph(n: int) -> LabeledGraph:
     edges = sorted(tuple(sorted((i, (i + 1) % n))) for i in range(n))
     return LabeledGraph(n, tuple(edges))

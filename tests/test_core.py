@@ -670,6 +670,16 @@ def test_vertex_bijection_validation():
     assert bij.apply(VertexSet([1, 3])).elements == (1, 2)
 
 
+def test_vertex_bijection_takes_only_integer_images():
+    # a float compares equal to its integer, True to 1, and a string does
+    # not sort with ints: each is refused with ValueError, as in VertexSet
+    for mapping in [(1.0, 2.0), (True, 2), ("1", 2)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            VertexBijection(mapping)
+    with pytest.raises(ValueError, match="must be an integer"):
+        relabel_complex(cx(2, (1,), (2,)), (2.0, 1.0))
+
+
 def test_complex_equality_is_labeled():
     assert cx(3, (1, 2)) != cx(3, (2, 3))
     assert cx(3, (1, 2)) == complex_from_facets(3, [[2, 1]])

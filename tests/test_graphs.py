@@ -268,8 +268,22 @@ def test_orientation_counts_beyond_the_brute_force_oracle():
 
 
 def test_count_matches_enumeration():
-    for g in helpers.orientation_count_graphs():
-        assert count_transitive_orientations(g) == len(transitive_orientations(g)), g
+    # random 2-dimensional posets and P_m[P4] have large prime nodes, whose
+    # children the count reads off the node's implication class
+    rng = random.Random(113)
+    graphs = [helpers.random_poset_graph(rng, rng.randint(6, 12)) for _ in range(500)]
+    graphs += [helpers.module_path(m, helpers.path_graph(4)) for m in range(1, 9)]
+    graphs += helpers.orientation_count_graphs()
+    for g in graphs:
+        count = count_transitive_orientations(g)
+        assert count == len(transitive_orientations(g)), g
+        # the reconstruction gate's premise: at most two classes exactly
+        # when at most 4 orientations, and then 2 per class
+        classes = g.implication_classes
+        if classes is not None:
+            assert (len(classes) <= 2) == (count <= 4), g
+            if len(classes) <= 2:
+                assert count == 2 ** len(classes), g
     for m in range(4, 7):
         for module in (helpers.complete_graph(2), helpers.cycle_graph(4)):
             assert count_transitive_orientations(helpers.module_path(m, module)) == 2 ** (m + 1)
@@ -278,7 +292,10 @@ def test_count_matches_enumeration():
 
 
 def test_counts_without_enumeration():
+    # P_1023[P4]: 4,092 vertices, 1,024 prime nodes, no twins
+    p1023 = helpers.module_path(1023, helpers.path_graph(4))
     start = time.perf_counter()
+    assert count_transitive_orientations(p1023) == 2 ** 1024
     assert count_transitive_orientations(helpers.complete_graph(20)) == factorial(20)
     path = helpers.module_path(30, helpers.complete_graph(2))
     assert count_transitive_orientations(path) == 2 ** 31

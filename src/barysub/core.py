@@ -135,9 +135,6 @@ class VertexSet:
     def __len__(self) -> int:
         return self._mask.bit_count()
 
-    def __bool__(self) -> bool:
-        return self._mask != 0
-
     def __contains__(self, vertex: int) -> bool:
         return 1 <= vertex <= MAX_GROUND and (self._mask >> (vertex - 1)) & 1 == 1
 
@@ -465,8 +462,11 @@ class CanonicalForm(SimplicialComplex):
     """Isomorphism-class fingerprint: the complex relabeled onto canonical positions.
 
     Stored like any complex, as facet ``masks`` with ``facets`` derived; a
-    canonical form never equals a plain SimplicialComplex. Two complexes
-    are isomorphic exactly when their canonical forms are equal.
+    canonical form never equals a plain SimplicialComplex. Like every
+    complex it is a frozen dataclass, so two forms are equal, and hash
+    alike, exactly when their ``sort_key``s are equal: compare forms
+    directly. Two complexes are isomorphic exactly when their canonical
+    forms are equal.
     """
 
     @property
@@ -504,7 +504,8 @@ def _canonical_connected(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple]
     non-singleton cell, and keep the first leaf, in branching order, whose
     encoding is lexicographically least. Returns (labels, encoding) where
     ``labels[v-1]`` is the 0-based canonical position of vertex v and the
-    encoding is the sorted tuple of relabeled facet keys.
+    encoding is the sorted tuple of the relabeled facet masks'
+    ``_mask_key`` ints.
 
     A leaf whose encoding equals the best one gives an automorphism, and
     the search skips a branch that an automorphism fixing its path carries
@@ -538,7 +539,6 @@ def _canonical_connected(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple]
                     color[v] = ci
             fsig = [tuple(sorted(color[v] for v in members[fi])) for fi in range(nf)]
             new_cells: list[list[int]] = []
-            changed = False
             for cell in cells:
                 if len(cell) == 1:
                     new_cells.append(cell)
@@ -547,11 +547,9 @@ def _canonical_connected(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple]
                 for v in cell:
                     sig = tuple(sorted(fsig[fi] for fi in incident[v]))
                     groups.setdefault(sig, []).append(v)
-                if len(groups) > 1:
-                    changed = True
                 for sig in sorted(groups):
                     new_cells.append(groups[sig])
-            if not changed:
+            if len(new_cells) == len(cells):
                 return new_cells
             cells = new_cells
 
@@ -563,14 +561,13 @@ def _canonical_connected(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple]
     branch: list[list[int]] = []  # branch[d]: the cell path[d] was chosen from
 
     def encode(cells: list[list[int]]) -> tuple[tuple, list[int]]:
+        """A leaf's key, the sorted ``_mask_key`` ints of its relabeled facet
+        masks (the face order, so keys compare as the facet lists would),
+        and its labeling: each vertex at its cell's position."""
         labels = [0] * k
         for pos, cell in enumerate(cells):
             labels[cell[0]] = pos
-        keys = []
-        for mem in members:
-            els = tuple(sorted(labels[v] + 1 for v in mem))
-            keys.append((len(els), els))
-        return tuple(sorted(keys)), labels
+        return tuple(sorted(_mask_key(sum(1 << labels[v] for v in mem)) for mem in members)), labels
 
     def redundant(depth: int) -> bool:
         # Does an automorphism found so far that fixes path[:depth] carry
@@ -654,15 +651,12 @@ def _canonical(cx: SimplicialComplex) -> tuple[CanonicalForm, tuple[int, ...]]:
         parts.append((comp.complex.ground_size, enc, comp.vertices, labels))
     parts.sort(key=lambda t: (t[0], t[1]))
     labeling = [0] * n
-    out_masks: list[int] = []
     offset = 0
-    for g, enc, orig, labels in parts:
+    for g, _, orig, labels in parts:
         for j in range(g):
             labeling[orig[j] - 1] = offset + labels[j] + 1
-        for _, els in enc:
-            out_masks.append(sum(1 << (offset + e - 1) for e in els))
         offset += g
-    return CanonicalForm(n, tuple(sorted(out_masks, key=_mask_key))), tuple(labeling)
+    return CanonicalForm(n, relabel_complex(cx, labeling).masks), tuple(labeling)
 
 
 def canonical_form(cx: SimplicialComplex) -> CanonicalForm:

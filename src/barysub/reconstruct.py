@@ -119,9 +119,12 @@ def complex_from_face_poset(p: FacePoset) -> tuple[SimplicialComplex, tuple[int,
     makes the sink images an antichain. The images are then the full face
     family of the complex whose facets are the sink images exactly when
     every element lies at or below a sink and every image with two or more
-    sources stays an image after deleting any one of them. All checks cost
-    O(elements x 64) mask operations; the complex is built once they pass.
-    Returns the complex and the source tuple.
+    sources stays an image after deleting any one of them. The checks are
+    word operations on Python ints with no cap on the sources, O(elements x
+    sources) of them. Once they pass, the complex is built, and a face poset
+    with more than 64 sources raises GroundSetTooLarge there: it is a face
+    poset, of a complex over the ground cap. Returns the complex and the
+    source tuple.
     """
     up = p.up
     n = len(up)
@@ -131,8 +134,6 @@ def complex_from_face_poset(p: FacePoset) -> tuple[SimplicialComplex, tuple[int,
     src = [k for k in range(n) if not (heads >> k) & 1]
     if not src:
         raise NotAFacePoset("poset has no minimal elements")
-    if len(src) > MAX_GROUND:
-        raise NotAFacePoset(f"{len(src)} minimal elements exceed the ground cap")
     # holders[i]: the elements whose image contains source i.
     holders = [up[s] | 1 << s for s in src]
     image = [0] * n
@@ -162,6 +163,8 @@ def complex_from_face_poset(p: FacePoset) -> tuple[SimplicialComplex, tuple[int,
             for i in _mask_elements(m):
                 if m ^ (1 << (i - 1)) not in images:
                     raise NotAFacePoset("down-sets do not form the full face family")
+    if len(src) > MAX_GROUND:
+        raise GroundSetTooLarge(f"face poset has {len(src)} minimal elements, cap is {MAX_GROUND}")
     cx = _antichain_complex(len(src), [image[t] for t in sinks])
     return cx, tuple(p.elements[s] for s in src)
 
@@ -202,8 +205,9 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     a single survivor needs no canonical form. Fails with "not_orientable"
     when some component has no transitive orientation and "not_face_poset"
     when none of a component's orientations is a face poset. Raises
-    GroundSetTooLarge when every component succeeds but their sources add
-    up to more than the 64-element cap.
+    GroundSetTooLarge when an orientation of one component is the face
+    poset of a complex on more than 64 vertices, or when every component
+    succeeds but their sources add up to more than that cap.
     """
     if g.vertex_count == 0:
         raise EmptyInput("graph has no vertices")
@@ -241,7 +245,7 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
             status = STATUS_NOT_FACE_POSET
             break
         if len(successes) >= 2:
-            forms = {canonical_form(cx).sort_key for cx, _ in successes}
+            forms = {canonical_form(cx) for cx, _ in successes}
             if len(forms) != 1:
                 raise RuntimeError(
                     "successful orientations disagree; rigidity violated"

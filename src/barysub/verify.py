@@ -75,10 +75,11 @@ def enumerate_complexes(n: int, up_to_iso: bool = False) -> list[SimplicialCompl
 
     Enumerated as antichains of nonempty subsets covering [n], by one DFS
     that extends a family only by subsets later in (cardinality, value)
-    order, with a suffix-union prune. A family's code has bit total-1-r for
-    each member of rank r in that order, so of two families of one size the
-    one with the larger code sorts first. The list is sorted by size, then
-    by descending code.
+    order. No covering prune is needed: the last subset is [n] itself, so
+    every suffix of that order covers [n]. A family's code has bit
+    total-1-r for each member of rank r in that order, so of two families
+    of one size the one with the larger code sorts first. The list is
+    sorted by size, then by descending code.
 
     With ``up_to_iso`` the DFS is orderly (Read, 1978): it carries the codes
     of the family's images under all n! vertex permutations and keeps a
@@ -96,9 +97,6 @@ def enumerate_complexes(n: int, up_to_iso: bool = False) -> list[SimplicialCompl
     full = (1 << n) - 1
     subsets = sorted(range(1, full + 1), key=_mask_sort_key)
     total = len(subsets)
-    suffix = [0] * (total + 1)
-    for i in range(total - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | subsets[i]
     code_bit = {m: 1 << (total - 1 - r) for r, m in enumerate(subsets)}
     # col[r][p]: the code bit of subsets[r] relabeled by the p-th permutation.
     # The identity comes first, so a family's image codes start with its own;
@@ -119,8 +117,6 @@ def enumerate_complexes(n: int, up_to_iso: bool = False) -> list[SimplicialCompl
         if union == full:
             families.append(tuple(chosen))
         for i in range(start, total):
-            if union | suffix[i] != full:
-                return  # later suffixes only shrink
             c = subsets[i]
             # a later subset is never smaller, so it can only contain a member
             if any(m & c == m for m in chosen):
@@ -170,12 +166,13 @@ def _iso_keys(objs: list, invariant, form) -> tuple[list, int]:
     canonical forms computed for them.
 
     An object's key is ``(invariant,)`` when no other object in ``objs``
-    shares its invariant, else ``(invariant, form(obj).sort_key)``; the two
+    shares its invariant, else ``(invariant, form(obj))``: forms are frozen
+    dataclasses, equal exactly when the objects are isomorphic. The two
     shapes never compare equal. A None object keeps the key None.
     """
     invariants = [None if o is None else invariant(o) for o in objs]
     sizes = Counter(inv for o, inv in zip(objs, invariants) if o is not None)
-    keys = [None if o is None else (inv,) if sizes[inv] == 1 else (inv, form(o).sort_key)
+    keys = [None if o is None else (inv,) if sizes[inv] == 1 else (inv, form(o))
             for o, inv in zip(objs, invariants)]
     return keys, sum(n for n in sizes.values() if n > 1)
 

@@ -303,15 +303,15 @@ def brute_complex_from_face_poset(p: FacePoset):
     Same contract and messages as ``complex_from_face_poset``: maps every
     element to the mask of sources at or below it, tests injectivity and
     order against inclusion pair by pair, and compares the image set with
-    every face of the complex the sink images generate. The enumeration is
-    exponential in the facet sizes; small inputs only.
+    every face the sink images generate, all on plain ints, so a face poset
+    with more than 64 sources passes every check and only then raises
+    GroundSetTooLarge. The enumeration is exponential in the facet sizes;
+    small facets only.
     """
     rel = relation(p)
     sources = tuple(v for v in p.elements if not any(b == v for _, b in rel))
     if not sources:
         raise NotAFacePoset("poset has no minimal elements")
-    if len(sources) > 64:
-        raise NotAFacePoset(f"{len(sources)} minimal elements exceed the ground cap")
     src_bit = {s: 1 << i for i, s in enumerate(sources)}
     down: dict[int, int] = {}
     for v in p.elements:
@@ -329,13 +329,20 @@ def brute_complex_from_face_poset(p: FacePoset):
                 continue
             if (down[a] & ~down[b] == 0) != ((a, b) in rel):
                 raise NotAFacePoset("order does not match down-set inclusion")
-    sinks = [v for v in p.elements if not any(a == v for a, _ in rel)]
-    c = complex_from_facets(len(sources), [VertexSet.from_mask(down[t]) for t in sinks])
-    if {f.mask for f in c.facets} != {down[t] for t in sinks}:
+    tops = {down[v] for v in p.elements if not any(a == v for a, _ in rel)}
+    if any(a != b and a & ~b == 0 for a in tops for b in tops):
         raise NotAFacePoset("maximal down-sets are not an antichain")
-    if {f.mask for f in c.faces()} != set(masks):
+    faces = set()
+    for top in tops:
+        sub = top
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & top
+    if faces != set(masks):
         raise NotAFacePoset("down-sets do not form the full face family")
-    return c, sources
+    if len(sources) > 64:
+        raise GroundSetTooLarge(f"face poset has {len(sources)} minimal elements, cap is 64")
+    return complex_from_facets(len(sources), [VertexSet.from_mask(m) for m in tops]), sources
 
 
 def chain_count(c: SimplicialComplex) -> int:

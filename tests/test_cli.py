@@ -177,6 +177,23 @@ def test_reconstruct_over_the_ground_cap_exits_2(capsys, tmp_path):
     }
 
 
+def test_path_face_poset_over_the_ground_cap_exits_2(capsys, tmp_path):
+    # the face-poset graph of the path on n vertices is the path on 2n - 1
+    src = tmp_path / "path.json"
+    src.write_text(json.dumps({"vertices": 127, "edges": [[i, i + 1] for i in range(126)]}))
+    code, out, _ = run(capsys, "reconstruct", str(src))
+    assert code == 0
+    assert json.loads(out) == {"ground_set": 64, "facets": [[i, i + 1] for i in range(1, 64)]}
+    src.write_text(json.dumps({"vertices": 129, "edges": [[i, i + 1] for i in range(128)]}))
+    for argv in (["reconstruct"], ["reconstruct", "--report"], ["check-comparability"]):
+        code, out, err = run(capsys, *argv, str(src))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "GroundSetTooLarge",
+            "message": "face poset has 65 minimal elements, cap is 64",
+        }
+
+
 def test_reconstruct_of_the_largest_readable_graph_exits_2(capsys, tmp_path):
     # 1,365 disjoint P3s: 4,095 vertices, at the JSON graph cap
     edges = [[3 * k + i, 3 * k + 2] for k in range(1365) for i in (0, 1)]
@@ -286,6 +303,15 @@ def test_repeated_edge_is_named(capsys, tmp_path):
         code, out, err = run(capsys, op, str(src))
         assert code == 2 and out == ""
         assert err == '{"error": "ValueError", "message": "edge [0, 1] listed twice"}\n'
+
+
+def test_negative_vertex_count_exits_2(capsys, tmp_path):
+    src = tmp_path / "negative.json"
+    src.write_text('{"vertices": -1, "edges": []}')
+    for op in ("reconstruct", "check-comparability"):
+        code, out, err = run(capsys, op, str(src))
+        assert code == 2 and out == ""
+        assert err == '{"error": "ValueError", "message": "vertex count must be >= 0"}\n'
 
 
 def test_oversized_ground_set_exits_2(capsys, tmp_path):

@@ -114,6 +114,10 @@ def test_vertexset_bounds():
     with pytest.raises(ValueError):
         VertexSet([65])
     VertexSet([64])  # cap is inclusive
+    for mask in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="outside the 64-bit range"):
+            VertexSet.from_mask(mask)
+    assert VertexSet.from_mask((1 << 64) - 1).elements == tuple(range(1, 65))
 
 
 def test_constructor_normalizes():
@@ -678,6 +682,12 @@ def test_vertex_bijection_takes_only_integer_images():
             VertexBijection(mapping)
     with pytest.raises(ValueError, match="must be an integer"):
         relabel_complex(cx(2, (1,), (2,)), (2.0, 1.0))
+
+
+def test_relabel_complex_wants_a_bijection_of_the_ground_size():
+    for mapping in [(1,), (1, 2, 3), (3, 1, 2)]:
+        with pytest.raises(ValueError, match="bijection size does not match ground set"):
+            relabel_complex(cx(2, (1,), (2,)), mapping)
 
 
 def test_complex_equality_is_labeled():

@@ -336,6 +336,32 @@ def test_reconstruction_over_the_ground_cap_raises_ground_set_too_large():
         assert r.status == status and r.complex is None
 
 
+def path_face_poset(n: int) -> FacePoset:
+    """The face poset of the path on n vertices: element i < n is vertex i,
+    and element n + i the edge joining vertices i and i + 1."""
+    rel = {(i + d, n + i) for i in range(n - 1) for d in (0, 1)}
+    return FacePoset.from_relation(range(2 * n - 1), rel)
+
+
+def test_face_poset_over_the_ground_cap_passes_its_checks_then_raises():
+    # the checks take any number of sources; only the complex is capped
+    path64 = cx(64, *((i, i + 1) for i in range(1, 64)))
+    for check in (complex_from_face_poset, helpers.brute_complex_from_face_poset):
+        assert check(path_face_poset(64)) == (path64, tuple(range(64)))
+        with pytest.raises(GroundSetTooLarge, match="65 minimal elements, cap is 64"):
+            check(path_face_poset(65))
+        with pytest.raises(GroundSetTooLarge, match="65 minimal elements, cap is 64"):
+            check(FacePoset.from_relation(range(65), ()))
+    # one element above 65 sources: no image is one source short of it
+    above = FacePoset.from_relation(range(66), {(i, 65) for i in range(65)})
+    with pytest.raises(NotAFacePoset, match="full face family"):
+        complex_from_face_poset(above)
+    # the face-poset graph of the path on n vertices is the path on 2n - 1
+    assert reconstruct_from_comparability_graph(helpers.path_graph(127)).complex == path64
+    with pytest.raises(GroundSetTooLarge, match="65 minimal elements, cap is 64"):
+        reconstruct_from_comparability_graph(helpers.path_graph(129))
+
+
 def test_unique_success_recovers_the_labeling():
     # when exactly one orientation survives, its sources are the singleton
     # faces and mapping each ground vertex to its singleton's source index

@@ -324,6 +324,27 @@ def test_non_equivariant_dual_is_reported(monkeypatch):
     assert e.failures[-1] == "universe[18] relabeled by [4, 2, 3, 1]: item dual broke"
 
 
+@pytest.mark.parametrize("name,count,first,last", [
+    ("stanley_reisner_generators", 5,
+     "universe[1] relabeled by [2, 3, 1]: Stanley-Reisner generators not carried onto generators",
+     "universe[3] relabeled by [3, 2, 1]: Stanley-Reisner generators not carried onto generators"),
+    ("facet_ideal_generators", 7,
+     "universe[1] relabeled by [2, 3, 1]: facet generators not carried onto generators",
+     "universe[4] relabeled by [2, 1, 3]: facet generators not carried onto generators"),
+])
+def test_non_equivariant_generators_are_reported(monkeypatch, name, count, first, last):
+    real = getattr(verify_module, name)
+
+    def skewed(cx):
+        # drop every generator holding vertex 1: a relabeled copy loses others
+        return [s for s in real(cx) if 1 not in s]
+
+    monkeypatch.setattr(verify_module, name, skewed)
+    e = verify_equivalences(3)
+    assert (e.universe_size, e.pair_checks, len(e.failures)) == (5, 20, count)
+    assert (e.failures[0], e.failures[-1]) == (first, last)
+
+
 def _witness_cross_check_corpus():
     rng = random.Random(181)
     return list(helpers.universe_through(5)) + [

@@ -52,8 +52,8 @@ def induced_components(adj, left: int) -> list[int]:
     ``adj[v]`` is the neighbour mask of vertex v (0-based). Each component
     is a vertex mask grown from its least vertex by OR-ing in the neighbour
     masks of newly reached vertices; they come in order of least vertex.
-    Neighbour masks may reach outside ``left`` (or be negative, as the
-    complement masks ``~adj[v]`` are); only their bits inside it count.
+    Neighbour masks may reach outside ``left``; only their bits inside it
+    count.
     """
     comps = []
     while left:
@@ -434,6 +434,8 @@ class VertexBijection:
         return len(self.mapping)
 
     def __call__(self, vertex: int) -> int:
+        if not 1 <= vertex <= len(self.mapping):
+            raise IndexError(f"vertex {vertex} outside 1..{len(self.mapping)}")
         return self.mapping[vertex - 1]
 
     def apply(self, s: VertexSet) -> VertexSet:

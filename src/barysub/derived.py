@@ -27,6 +27,8 @@ class FaceLabeling:
     faces: tuple[VertexSet, ...]
 
     def face_of(self, vertex: int) -> VertexSet:
+        if not 1 <= vertex <= len(self.faces):
+            raise IndexError(f"vertex {vertex} outside 1..{len(self.faces)}")
         return self.faces[vertex - 1]
 
     def vertex_of(self, face: VertexSet) -> int:

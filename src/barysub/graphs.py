@@ -10,18 +10,15 @@ directed-triangle test on arc masks all work on those masks. A
 transitive orientation is a strict order, so the search returns each one
 as a ``FacePoset``: one up-set mask per vertex, its arc masks at a leaf.
 The same class phase alone decides orientability, and the number of
-orientations is Gallai's product over the modular decomposition, whose
-components and co-components are found on the same masks; a prime node's
-children are read off the one class that covers it.
+orientations is Gallai's product, read off the classes' tail and head
+masks.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial
 
 from .core import (
     MAX_GROUND,
@@ -30,7 +27,6 @@ from .core import (
     _antichain_complex,
     _mask_elements,
     _skeleton_adjacency,
-    induced_components,
 )
 from .errors import EmptyInput, GroundSetTooLarge, VoidComplex
 
@@ -289,56 +285,34 @@ def count_transitive_orientations(g: LabeledGraph) -> int:
     """``len(transitive_orientations(g))``, computed without enumerating them.
 
     0 when the implication classes show g is not a comparability graph.
-    Otherwise Gallai's product over the modular decomposition (Gallai 1967;
-    McConnell & Spinrad 1999): a node whose graph is disconnected
-    (parallel) contributes 1, a node whose complement is disconnected
-    (series) with k children contributes k!, and any other (prime) node
-    contributes 2, the two orientations of its quotient. The tree is walked
-    with an explicit stack of vertex masks, so its depth costs no recursion.
+    Otherwise Gallai's product (Gallai 1967; McConnell & Spinrad 1999),
+    read off the classes. Let a class's side-0 arcs have tail mask T and
+    head mask H. A class with fewer than |T|·|H| arcs doubles the count;
+    every other class adds one to ``below[max(T, H)]``, and each value b
+    there multiplies the count by b + 1.
 
-    A prime node's children come from its implication class. By Gallai,
-    the classes of a comparability graph are the edges between the
-    children of each prime node, one class per node, and the edges between
-    each pair of children of a series node. A prime node's class covers
-    exactly that node, and two children of a series node never make up a
-    prime node, so the class whose vertices are s is prime node s's. Each
-    child is a module, so two of its vertices see the same vertices in
-    that class, and vertices of two children do not, since a prime
-    quotient has no twins. So the children are the groups of vertices of s
-    with one neighbour mask in the class. The map from a class's vertex
-    mask to its arcs is built once, when the walk meets its first prime
-    node.
+    By Gallai, a class joins two children A, B of a series node, and is
+    then all of A × B with T = A and H = B, or is the blown-up quotient of
+    a prime node (2 orientations). A prime quotient is never complete
+    bipartite and no arc is a loop, so some pair of T × H has no arc.
+    Node vertex masks are distinct, and a series node's child c_j, the
+    j-th smallest of k as an int, is max(T, H) of j - 1 classes: k! in all.
     """
     classes = g.implication_classes
     if classes is None:
         return 0
-    adj = g.adj
-    co = [~a for a in adj]
-    spans = None
     count = 1
-    todo = [(1 << g.vertex_count) - 1]
-    while todo:
-        s = todo.pop()
-        if s & (s - 1) == 0:
-            continue
-        children = induced_components(adj, s)
-        if len(children) == 1:
-            children = induced_components(co, s)
-            if len(children) > 1:
-                count *= factorial(len(children))
-            else:
-                count *= 2
-                if spans is None:
-                    # each class by the mask of the vertices its arcs cover
-                    spans = {functools.reduce(int.__or__, (1 << t | 1 << h for t, h in a)): a
-                             for a in classes}
-                seen = defaultdict(int)
-                for t, h in spans[s]:
-                    seen[t] |= 1 << h
-                    seen[h] |= 1 << t
-                groups = defaultdict(int)
-                for v, nb in seen.items():
-                    groups[nb] |= 1 << v
-                children = groups.values()
-        todo.extend(children)
+    below: dict[int, int] = {}
+    for arcs in classes:
+        tails = heads = 0
+        for t, h in arcs:
+            tails |= 1 << t
+            heads |= 1 << h
+        if len(arcs) < tails.bit_count() * heads.bit_count():
+            count *= 2
+        else:
+            key = max(tails, heads)
+            below[key] = below.get(key, 0) + 1
+    for b in below.values():
+        count *= b + 1
     return count

@@ -37,13 +37,13 @@ twins) or, when Δ is the simplex on W, the set of every face but W:
       all of V(G). Otherwise W is a face, no face X contains W properly
       (for w in W and x in X - W, the face {w, x} would break (b)), and no
       edge leaves W, so Δ is the simplex on W and M its proper faces.
-Gallai's product over the modular decomposition (Gallai 1967; McConnell &
-Spinrad 1999; ``graphs.count_transitive_orientations``) then gives the
-count. When Δ is not a simplex the root is prime, since a series root
-needs a face comparable to every face, and its other nodes are parallel,
-so the count is 2. The simplex on W with |W| >= 3 is a series node
-{W} + ∂W, giving 2!, over the prime boundary, giving 2 more, so 4. A point
-gives 1 and an edge 2.
+Gallai's product over the modular decomposition, 2 per prime node and k!
+per series node of k children (Gallai 1967; McConnell & Spinrad 1999),
+then gives the count. When Δ is not a simplex the root is prime, since a
+series root needs a face comparable to every face, and its other nodes
+are parallel, so the count is 2. The simplex on W with |W| >= 3 is a
+series node {W} + ∂W, giving 2!, over the prime boundary, giving 2 more,
+so 4. A point gives 1 and an edge 2.
 
 The implication classes (Golumbic 1980, ch. 5) tell at once whether the
 count is at most 4. By Gallai, the edges between the children of a prime
@@ -56,9 +56,10 @@ orientations:
       k_i! >= 6, or else the count is 2^classes >= 8.
 So a face-poset component has at most two classes, and a component whose
 classes are None (no orientation) or more than two (more than 4) is
-refused at once; the count, a modular decomposition, is taken only to
-report its orientations tried. Any other component has at most 4
-orientations, so the search has at most 4 leaves and depth 2.
+refused at once; the count, read off the same classes by
+``graphs.count_transitive_orientations``, is taken only to report its
+orientations tried. Any other component has at most 4 orientations, so
+the search has at most 4 leaves and depth 2.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ class ReconstructionReport:
     ``complex`` is the recovered complex when ok, else None;
     ``orientations_tried`` counts the transitive orientations examined over
     all components. For a component the count refuses, the orientations
-    are counted by the modular decomposition, not enumerated; the number is
+    are counted from the implication classes, not enumerated; the number is
     the same, since each of them would fail the face-poset check.
     ``both_orientations_admissible`` says whether some
     component admitted at least two successful orientations.

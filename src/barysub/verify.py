@@ -66,10 +66,6 @@ class VerificationReport:
         return not self.failures
 
 
-def _mask_sort_key(m: int) -> tuple[int, int]:
-    return (m.bit_count(), m)
-
-
 def enumerate_complexes(n: int, up_to_iso: bool = False) -> list[SimplicialComplex]:
     """All complexes on [n] whose faces include every singleton.
 
@@ -95,7 +91,8 @@ def enumerate_complexes(n: int, up_to_iso: bool = False) -> list[SimplicialCompl
     if n > MAX_UNIVERSE_GROUND:
         raise UniverseTooLarge(f"universe capped at {MAX_UNIVERSE_GROUND} vertices")
     full = (1 << n) - 1
-    subsets = sorted(range(1, full + 1), key=_mask_sort_key)
+    # a stable sort by size keeps each size's masks in value order
+    subsets = sorted(range(1, full + 1), key=int.bit_count)
     total = len(subsets)
     code_bit = {m: 1 << (total - 1 - r) for r, m in enumerate(subsets)}
     # col[r][p]: the code bit of subsets[r] relabeled by the p-th permutation.

@@ -451,6 +451,15 @@ def random_poset_graph(rng, n: int) -> LabeledGraph:
     return LabeledGraph(n, tuple((i, j) for i, j in combinations(range(n), 2) if rank[i] < rank[j]))
 
 
+def labelled_graphs(n: int) -> list[LabeledGraph]:
+    """Every graph on the vertices 0..n-1, one per subset of the possible edges."""
+    pairs = list(combinations(range(n), 2))
+    return [
+        LabeledGraph(n, tuple(e for k, e in enumerate(pairs) if bits >> k & 1))
+        for bits in range(1 << len(pairs))
+    ]
+
+
 def cycle_graph(n: int) -> LabeledGraph:
     edges = sorted(tuple(sorted((i, (i + 1) % n))) for i in range(n))
     return LabeledGraph(n, tuple(edges))

@@ -672,6 +672,10 @@ def test_vertex_bijection_validation():
     assert bij(1) == 2
     assert bij.inverse()(2) == 1
     assert bij.apply(VertexSet([1, 3])).elements == (1, 2)
+    # only 1..n are vertices; 0 and -1 must not wrap to the last images
+    for vertex in (0, -1, 4):
+        with pytest.raises(IndexError):
+            bij(vertex)
 
 
 def test_vertex_bijection_takes_only_integer_images():

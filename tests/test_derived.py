@@ -60,6 +60,10 @@ def test_subdivision_labeling_round_trip():
     assert list(lab.faces) == c.faces()
     for i in range(1, sub.ground_size + 1):
         assert lab.vertex_of(lab.face_of(i)) == i
+    # only 1..n are subdivision vertices; 0 and -1 must not wrap to the last faces
+    for vertex in (0, -1, sub.ground_size + 1):
+        with pytest.raises(IndexError):
+            lab.face_of(vertex)
     with pytest.raises(KeyError):
         lab.vertex_of(VertexSet([1, 4]))
 

@@ -38,7 +38,11 @@ from .verify import verify_theorems
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            # the decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def _write(text: str, path: str | None) -> None:

@@ -202,14 +202,19 @@ class SimplicialComplex:
         if self.void and self.masks:
             raise ValueError("void complex cannot carry facets")
         full = (1 << n) - 1
-        prev = None
+        # m follows prev when it is larger, or when it has the same size and
+        # the least element of their symmetric difference is prev's, as in
+        # _mask_key's order; a duplicate has no such element. prev = 0 has
+        # size 0, below every mask.
+        prev = size = 0
         for m in self.masks:
             if type(m) is not int or m == 0 or m & ~full:
                 raise ValueError(f"facet mask {m!r} invalid over ground size {n}")
-            key = _mask_key(m)
-            if prev is not None and key <= prev:
+            c = m.bit_count()
+            d = m ^ prev
+            if c < size or c == size and not prev & d & -d:
                 raise ValueError("facets must be strictly sorted by (size, lex)")
-            prev = key
+            prev, size = m, c
 
     @functools.cached_property
     def facets(self) -> tuple[VertexSet, ...]:

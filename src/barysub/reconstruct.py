@@ -64,6 +64,7 @@ the search has at most 4 leaves and depth 2.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .core import (
@@ -198,17 +199,21 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
 
     Works per connected component: enumerate transitive orientations, keep
     those whose poset is a face poset, and take the disjoint union of the
-    first survivor of each component. A component whose implication
-    classes are None or more than two has no orientation or more than four,
-    so none can survive: it is refused at once, with its orientation count
-    as the orientations tried. When a component has two or more
-    survivors, their canonical forms must agree (the rigidity self-check);
-    a single survivor needs no canonical form. Fails with "not_orientable"
-    when some component has no transitive orientation and "not_face_poset"
-    when none of a component's orientations is a face poset. Raises
-    GroundSetTooLarge when an orientation of one component is the face
-    poset of a complex on more than 64 vertices, or when every component
-    succeeds but their sources add up to more than that cap.
+    first survivor of each component. A connected graph is searched as
+    given, through a shallow copy that shares its edges and adjacency masks
+    and caches its implication classes on itself, not on g; a disconnected
+    graph is searched one induced subgraph per component. A component whose
+    implication classes are None or more than two has no orientation or
+    more than four, so none can survive: it is refused at once, with its
+    orientation count as the orientations tried. When a component has two
+    or more survivors, their canonical forms must agree (the rigidity
+    self-check); a single survivor needs no canonical form. When there is
+    one component, its survivor's complex is returned as built. Fails with
+    "not_orientable" when some component has no transitive orientation and
+    "not_face_poset" when none of a component's orientations is a face
+    poset. Raises GroundSetTooLarge when an orientation of one component is
+    the face poset of a complex on more than 64 vertices, or when every
+    component succeeds but their sources add up to more than that cap.
     """
     if g.vertex_count == 0:
         raise EmptyInput("graph has no vertices")
@@ -217,16 +222,23 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     picked: list[tuple[SimplicialComplex, tuple[int, ...]]] = []
     status = STATUS_OK
     adj = g.adj
-    for comp in induced_components(adj, (1 << g.vertex_count) - 1):
-        verts = [v - 1 for v in _mask_elements(comp)]
-        index = {v: k for k, v in enumerate(verts)}
-        # a component is closed under edges: its subgraph is, for each of its
-        # vertices in turn, the neighbours above that vertex, re-indexed
-        sub = LabeledGraph(len(verts), tuple(
-            (k, index[j - 1])
-            for k, i in enumerate(verts)
-            for j in _mask_elements(adj[i] >> (i + 1) << (i + 1))
-        ))
+    everyone = (1 << g.vertex_count) - 1
+    for comp in induced_components(adj, everyone):
+        if comp == everyone:
+            # the copy shares g's validated edges and adjacency masks; the
+            # classes it caches stay on the copy
+            verts = range(g.vertex_count)
+            sub = copy.copy(g)
+        else:
+            verts = [v - 1 for v in _mask_elements(comp)]
+            index = {v: k for k, v in enumerate(verts)}
+            # a component is closed under edges: its subgraph is, for each of
+            # its vertices in turn, the neighbours above that vertex, re-indexed
+            sub = LabeledGraph(len(verts), tuple(
+                (k, index[j - 1])
+                for k, i in enumerate(verts)
+                for j in _mask_elements(adj[i] >> (i + 1) << (i + 1))
+            ))
         classes = sub.implication_classes
         if classes is None or len(classes) > 2:
             # a face-poset component has at most two classes (see above)
@@ -255,6 +267,9 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
         picked.append(successes[0])
     if status != STATUS_OK:
         return ReconstructionReport(status, None, tried, False)
+    if len(picked) == 1:
+        cx, sources = picked[0]
+        return ReconstructionReport(STATUS_OK, cx, tried, any_double, sources)
     ground = sum(cx.ground_size for cx, _ in picked)
     if ground > MAX_GROUND:
         raise GroundSetTooLarge(

@@ -285,6 +285,20 @@ def test_error_diagnostics(capsys, tmp_path):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    # the decoder recurses once per level, so this overflows Python's stack
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for op in ("euler", "reconstruct"):
+        code, out, err = run(capsys, op, str(deep))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"{deep}: JSON nested too deeply to decode",
+        }
+
+
 def test_facet_outside_ground_set_is_named_as_a_list(capsys, tmp_path):
     src = tmp_path / "outside.json"
     src.write_text('{"ground_set": 2, "facets": [[3]]}')

@@ -238,6 +238,27 @@ def test_constructor_checks_its_facets():
             SimplicialComplex(n, masks, void)
         assert type(info.value) is ValueError
         assert str(info.value) == message
+    # Random mask tuples, half of them pre-sorted, with sizes 1-3 so that
+    # equal sizes and duplicates are common: accepted exactly when their
+    # _mask_key ints strictly increase.
+    rng = random.Random(223)
+    verdicts = set()
+    for _ in range(3000):
+        n = rng.choice((3, 5, 8, 64))
+        masks = [sum(1 << (v - 1) for v in rng.sample(range(1, n + 1), rng.randint(1, 3)))
+                 for _ in range(rng.randint(2, 4))]
+        if rng.random() < 0.5:
+            masks.sort(key=_mask_key)
+        keys = [_mask_key(m) for m in masks]
+        in_order = all(a < b for a, b in zip(keys, keys[1:]))
+        verdicts.add(in_order)
+        if in_order:
+            assert SimplicialComplex(n, tuple(masks)).masks == tuple(masks)
+        else:
+            with pytest.raises(ValueError) as info:
+                SimplicialComplex(n, tuple(masks))
+            assert str(info.value) == "facets must be strictly sorted by (size, lex)"
+    assert verdicts == {True, False}
     assert SimplicialComplex(3, (2, 0b101)) == cx(3, (2,), (1, 3))
     assert SimplicialComplex(3, (2, 0b101)).facets == (VertexSet([2]), VertexSet([1, 3]))
 

@@ -305,6 +305,19 @@ def test_reconstruct_disconnected_graphs():
     assert r.status == STATUS_NOT_ORIENTABLE
 
 
+def test_reconstruction_caches_nothing_on_the_callers_graph():
+    # a connected graph is searched through a copy; its implication classes
+    # are cached there, never on the graph the caller passed in
+    hexagon = comparability_graph(cx(3, (1, 2), (1, 3), (2, 3)))
+    two = comparability_graph(cx(4, (1, 2), (3, 4)))
+    k4 = LabeledGraph(4, tuple(combinations(range(4), 2)))
+    for g, components, status in [(hexagon, 1, STATUS_OK), (two, 2, STATUS_OK),
+                                   (k4, 1, STATUS_NOT_FACE_POSET)]:
+        assert len(induced_components(g.adj, (1 << g.vertex_count) - 1)) == components
+        assert reconstruct_from_comparability_graph(g).status == status
+        assert "implication_classes" not in vars(g)
+
+
 def test_reconstruct_three_interleaved_components():
     # an edge's face poset P3 on {0, 4, 2}, a hexagon on 1-3-5-7-9-8 and an
     # isolated point 6: components come in order of least vertex, and each

@@ -19,6 +19,7 @@ from barysub import (
     are_isomorphic,
     canonical_form,
     comparability_graph,
+    empty_complex,
     enumerate_complexes,
     full_simplex,
     graph_canonical_form,
@@ -29,6 +30,7 @@ from barysub import (
     verify_equivalences,
     verify_subdivision_rigidity,
     verify_theorems,
+    void_complex,
 )
 from barysub.core import induced_components
 import barysub.verify as verify_module
@@ -393,6 +395,24 @@ def test_witness_checks_agree_with_canonical_forms():
             wrong[pair[0]], wrong[pair[1]] = wrong[pair[1]], wrong[pair[0]]
             assert verify_module._carries_edges(g, h, wrong) is False
     assert connected > 400
+
+
+def test_mask_set_witness_agrees_with_relabel_complex():
+    """``_relabels_onto`` against the comparison it replaces: every member
+    of the n <= 4 universes, and the void and empty complexes, under every
+    permutation, against its true image and every other complex."""
+    pool = list(helpers.universe_through(4))
+    pool += [c(n) for n in range(1, 5) for c in (void_complex, empty_complex)]
+    checked = 0
+    for cx in pool:
+        n = cx.ground_size
+        for perm in permutations(range(1, n + 1)):
+            image = relabel_complex(cx, perm)
+            assert verify_module._relabels_onto(cx, perm, image)
+            for other in pool:
+                assert verify_module._relabels_onto(cx, perm, other) == (image == other)
+                checked += 1
+    assert checked == 36 * (2 * (1 + 2 + 6 + 24) + 1 + 2 * 2 + 5 * 6 + 20 * 24)
 
 
 def test_graph_canonical_form_on_every_five_vertex_member():

@@ -71,9 +71,9 @@ def _json(obj, yes: bool = True) -> tuple[str, int]:
 
 def _subdivide(args, cx) -> tuple[str, int]:
     if args.k == 1:
-        sub, labeling = barycentric_subdivision(cx)
+        sub, faces = barycentric_subdivision(cx)
         if args.labels:
-            _write(jsonio.dumps(jsonio.labeling_to_obj(labeling)), args.labels)
+            _write(jsonio.dumps(jsonio.labeling_to_obj(faces)), args.labels)
         return _complex_out(sub)
     if args.labels:
         raise ValueError("--labels pairs with a single subdivision step")

@@ -96,8 +96,9 @@ class VertexSet:
 
     The comparison operators implement the deterministic total order used
     for all output: first by cardinality, then lexicographically on the
-    element tuple. They are NOT containment tests; use ``issubset`` /
-    ``issuperset`` for inclusion.
+    element tuple. They are NOT containment tests; use ``issubset`` for
+    inclusion. Set algebra is done on ``mask``; ``v in s`` iterates the
+    elements.
     """
 
     __slots__ = ("_mask",)
@@ -135,9 +136,6 @@ class VertexSet:
     def __len__(self) -> int:
         return self._mask.bit_count()
 
-    def __contains__(self, vertex: int) -> bool:
-        return 1 <= vertex <= MAX_GROUND and (self._mask >> (vertex - 1)) & 1 == 1
-
     def __iter__(self):
         return iter(_mask_elements(self._mask))
 
@@ -154,21 +152,6 @@ class VertexSet:
 
     def issubset(self, other: "VertexSet") -> bool:
         return self._mask & ~other._mask == 0
-
-    def issuperset(self, other: "VertexSet") -> bool:
-        return other._mask & ~self._mask == 0
-
-    def isdisjoint(self, other: "VertexSet") -> bool:
-        return self._mask & other._mask == 0
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self._mask & other._mask)
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self._mask | other._mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self._mask & ~other._mask)
 
     def __repr__(self) -> str:
         return f"VertexSet({self.elements!r})"
@@ -437,11 +420,6 @@ class VertexBijection:
     @property
     def size(self) -> int:
         return len(self.mapping)
-
-    def __call__(self, vertex: int) -> int:
-        if not 1 <= vertex <= len(self.mapping):
-            raise IndexError(f"vertex {vertex} outside 1..{len(self.mapping)}")
-        return self.mapping[vertex - 1]
 
     def apply(self, s: VertexSet) -> VertexSet:
         return VertexSet(self.mapping[v - 1] for v in s.elements)

@@ -2,40 +2,18 @@
 
 The barycentric subdivision introduces one vertex per nonempty face of the
 input; its facets are the saturated chains inside the input's facets. The
-pairing between new vertices and old faces is returned alongside the
-subdivision as a :class:`FaceLabeling` so callers can translate back.
+subdivision is returned with its faces, the tuple whose entry i-1 is the
+face that new vertex i replaces: the same tuple ``comparability_graph``
+carries as its labels, since that graph is the subdivision's 1-skeleton.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .core import (MAX_GROUND, SimplicialComplex, VertexSet, _antichain_complex, _mask_elements,
                    void_complex)
 from .errors import EmptyInput, GroundSetTooLarge, VoidComplex
-
-
-@dataclass(frozen=True)
-class FaceLabeling:
-    """Pairing between subdivision vertices and the faces they replace.
-
-    Subdivision vertex i corresponds to ``faces[i-1]``, with faces listed in
-    (cardinality, lex) order.
-    """
-
-    faces: tuple[VertexSet, ...]
-
-    def face_of(self, vertex: int) -> VertexSet:
-        if not 1 <= vertex <= len(self.faces):
-            raise IndexError(f"vertex {vertex} outside 1..{len(self.faces)}")
-        return self.faces[vertex - 1]
-
-    def vertex_of(self, face: VertexSet) -> int:
-        try:
-            return self.faces.index(face) + 1
-        except ValueError:
-            raise KeyError(f"{face!r} is not a face of the subdivided complex") from None
 
 
 def _require_subdividable(cx: SimplicialComplex) -> None:
@@ -45,15 +23,23 @@ def _require_subdividable(cx: SimplicialComplex) -> None:
         raise EmptyInput("the empty complex has no vertex to subdivide")
 
 
-def barycentric_subdivision(cx: SimplicialComplex) -> tuple[SimplicialComplex, FaceLabeling]:
-    """Subdivide once; returns the new complex and the vertex/face pairing.
+def barycentric_subdivision(
+        cx: SimplicialComplex) -> tuple[SimplicialComplex, tuple[VertexSet, ...]]:
+    """Subdivide once; returns the new complex and its faces.
 
     Facets of the result are the maximal chains of faces ordered by
     inclusion, one per permutation of each facet's vertices, so a facet F
-    contributes |F|! chains. Raises GroundSetTooLarge when the input has
-    more than 64 nonempty faces.
+    contributes |F|! chains. The faces come in (cardinality, lex) order;
+    new vertex i replaces ``faces[i-1]``. Raises GroundSetTooLarge when the
+    input has more than 64 nonempty faces. Each facet is a face, and a facet
+    of k vertices has 2^k - 1 nonempty faces, so an input is refused from
+    those two bounds before its faces are listed.
     """
     _require_subdividable(cx)
+    # masks are sorted by cardinality, so the last facet is a largest one
+    least = max(len(cx.masks), (1 << cx.masks[-1].bit_count()) - 1)
+    if least > MAX_GROUND:
+        raise GroundSetTooLarge(f"subdivision needs at least {least} vertices, cap is {MAX_GROUND}")
     faces = cx.faces()
     if len(faces) > MAX_GROUND:
         raise GroundSetTooLarge(
@@ -69,16 +55,24 @@ def barycentric_subdivision(cx: SimplicialComplex) -> tuple[SimplicialComplex, F
                 prefix |= 1 << (v - 1)
                 chain |= 1 << (index[prefix] - 1)
             chains.add(chain)
-    return _antichain_complex(len(faces), chains), FaceLabeling(tuple(faces))
+    return _antichain_complex(len(faces), chains), tuple(faces)
 
 
 def iterated_subdivision(cx: SimplicialComplex, k: int) -> SimplicialComplex:
-    """Apply the subdivision k times (k >= 0; k = 0 returns the input)."""
+    """Apply the subdivision k times (k >= 0; k = 0 returns the input).
+
+    Stops early at a fixed point: a complex of dimension 0 subdivides to
+    itself once its ground set is all used. Any other complex gains a ground
+    vertex at every step after the first, so it reaches the 64-vertex cap
+    within 64 steps.
+    """
     if k < 0:
         raise ValueError("subdivision count must be >= 0")
     out = cx
     for _ in range(k):
-        out, _ = barycentric_subdivision(out)
+        out, prev = barycentric_subdivision(out)[0], out
+        if out == prev:
+            break
     return out
 
 

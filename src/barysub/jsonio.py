@@ -6,7 +6,6 @@ import json
 
 from .core import (MAX_GROUND, SimplicialComplex, VertexSet, _generated_complex, _is_int,
                    _mask_elements, void_complex)
-from .derived import FaceLabeling
 from .errors import GroundSetTooLarge
 from .graphs import LabeledGraph
 from .reconstruct import ReconstructionReport
@@ -68,8 +67,8 @@ def _vertex_mask(entries) -> int:
     return mask
 
 
-def labeling_to_obj(lab: FaceLabeling) -> dict:
-    return {"vertices": [list(f.elements) for f in lab.faces]}
+def labeling_to_obj(faces: tuple[VertexSet, ...]) -> dict:
+    return {"vertices": [list(f.elements) for f in faces]}
 
 
 def graph_to_obj(g: LabeledGraph) -> dict:

@@ -64,10 +64,6 @@ class VerificationReport:
     failures: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def enumerate_complexes(n: int, up_to_iso: bool = False) -> list[SimplicialComplex]:
     """All complexes on [n] whose faces include every singleton.
@@ -177,12 +173,6 @@ def _iso_keys(objs: list, invariant, form) -> tuple[list, int]:
     return keys, sum(n for n in sizes.values() if n > 1)
 
 
-def graphs_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:
-    """Whether two graphs are isomorphic, compared by ``_iso_keys``."""
-    (key_a, key_b), _ = _iso_keys([a, b], _graph_invariant, graph_canonical_form)
-    return key_a == key_b
-
-
 def _pairs_sharing_a_key(keys: list) -> list[tuple[int, int]]:
     """Index pairs i < j with keys[i] == keys[j] (None matches nothing), in
     lexicographic order, found by grouping the keys in a dict."""
@@ -231,9 +221,9 @@ def _relabels_onto(cx: SimplicialComplex, perm, other: SimplicialComplex) -> boo
 
 def _carries_subdivision(s, sc, perm) -> tuple[int, ...] | None:
     """The subdivision-vertex permutation that ``perm`` induces from the
-    subdivision ``s`` onto ``sc`` (each a (complex, FaceLabeling) pair), when
-    it carries s's complex exactly onto sc's; else None."""
-    fmap = _face_map(s[1].faces, sc[1].faces, perm)
+    subdivision ``s`` onto ``sc`` (each a (complex, faces) pair), when it
+    carries s's complex exactly onto sc's; else None."""
+    fmap = _face_map(s[1], sc[1], perm)
     if fmap is None:
         return None
     sigma = tuple(k + 1 for k in fmap)
@@ -320,7 +310,7 @@ def verify_subdivision_rigidity(n: int) -> VerificationReport:
 
 def _transforms(cx: SimplicialComplex) -> dict:
     """The equivalence items' transforms of one complex. Subdivisions are
-    (complex, FaceLabeling) pairs; the second is None where the 64-element
+    (complex, faces) pairs; the second is None where the 64-element
     cap blocks it."""
     sub = barycentric_subdivision(cx)
     try:

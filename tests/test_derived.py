@@ -1,6 +1,9 @@
 """Subdivision, Alexander dual, complement, and ideal generator families."""
 
+from collections import Counter
+import itertools
 import random
+import time
 
 import pytest
 
@@ -43,38 +46,34 @@ def brute_dual_faces(c: SimplicialComplex) -> set[int]:
 
 def test_subdivision_of_triangle_boundary_is_hexagon():
     tri = cx(3, (1, 2), (1, 3), (2, 3))
-    sub, lab = barycentric_subdivision(tri)
+    sub, faces = barycentric_subdivision(tri)
     assert sub.ground_size == 6
     assert facet_sets(sub) == {
         frozenset({1, 4}), frozenset({1, 5}), frozenset({2, 4}),
         frozenset({2, 6}), frozenset({3, 5}), frozenset({3, 6}),
     }
-    assert [f.elements for f in lab.faces] == [
+    assert [f.elements for f in faces] == [
         (1,), (2,), (3,), (1, 2), (1, 3), (2, 3),
     ]
 
 
 def test_subdivision_labeling_round_trip():
+    # each face is read back off the subdivision: the union of the singleton
+    # faces at the subdivision vertices that share a facet with its vertex
     c = cx(4, (1, 2, 3), (3, 4))
-    sub, lab = barycentric_subdivision(c)
-    assert list(lab.faces) == c.faces()
-    for i in range(1, sub.ground_size + 1):
-        assert lab.vertex_of(lab.face_of(i)) == i
-    # only 1..n are subdivision vertices; 0 and -1 must not wrap to the last faces
-    for vertex in (0, -1, sub.ground_size + 1):
-        with pytest.raises(IndexError):
-            lab.face_of(vertex)
-    with pytest.raises(KeyError):
-        lab.vertex_of(VertexSet([1, 4]))
+    sub, faces = barycentric_subdivision(c)
+    assert list(faces) == c.faces() and len(faces) == sub.ground_size
+    for i, face in enumerate(faces, 1):
+        star = {v for f in sub.facets if i in f for v in f}
+        assert VertexSet(x for v in star if len(faces[v - 1]) == 1 for x in faces[v - 1]) == face
 
 
 def test_subdivision_edges_are_comparable_pairs():
     rng = random.Random(41)
     for c in [cx(3, (1, 2), (1, 3), (2, 3)), helpers.random_cover_complex(rng, 4),
               helpers.random_cover_complex(rng, 5)]:
-        sub, lab = barycentric_subdivision(c)
+        sub, faces = barycentric_subdivision(c)
         want = set()
-        faces = lab.faces
         for i in range(len(faces)):
             for j in range(i + 1, len(faces)):
                 small, large = faces[i], faces[j]
@@ -93,10 +92,10 @@ def test_subdivision_facets_are_saturated_chains():
     cases = list(helpers.universe_through(4))
     cases += [helpers.random_complex(rng, 5) for _ in range(10)]
     for c in cases:
-        sub, lab = barycentric_subdivision(c)
+        sub, faces = barycentric_subdivision(c)
         # every facet of the subdivision is a chain 1 = |F_1| < ... saturated
         for chain in sub.facets:
-            members = sorted((lab.face_of(v) for v in chain.elements), key=lambda s: len(s))
+            members = sorted((faces[v - 1] for v in chain.elements), key=lambda s: len(s))
             assert len(members[0]) == 1
             for a, b in zip(members, members[1:]):
                 assert a.issubset(b) and len(b) == len(a) + 1
@@ -153,6 +152,16 @@ def test_iterated_subdivision_edges():
         iterated_subdivision(c, -1)
 
 
+def test_iterated_subdivision_stops_at_a_fixed_point():
+    # a 0-dimensional complex is its own subdivision once its ground set is
+    # all used, so any step count past that gives the same complex at once
+    for c in [cx(1, (1,)), cx(3, (1,), (3,))]:
+        start = time.perf_counter()
+        assert iterated_subdivision(c, 10**9) == iterated_subdivision(c, 2)
+        assert time.perf_counter() - start < 1.0
+    assert iterated_subdivision(cx(3, (1,), (3,)), 10**9) == cx(2, (1,), (2,))
+
+
 def test_subdivision_rejects_degenerate_inputs():
     with pytest.raises(VoidComplex):
         barycentric_subdivision(void_complex(3))
@@ -163,11 +172,62 @@ def test_subdivision_rejects_degenerate_inputs():
     barycentric_subdivision(full_simplex(6))  # 63 faces, allowed
 
 
+def _refusal(c: SimplicialComplex) -> str | None:
+    try:
+        barycentric_subdivision(c)
+    except GroundSetTooLarge as exc:
+        return str(exc)
+    return None
+
+
+def test_subdivision_face_bound_refuses_only_over_the_cap():
+    # the bound (facet count, or 2^k - 1 for a largest facet of k vertices)
+    # never exceeds the face count, so a complex of at most 64 faces is
+    # subdivided, and a refused one is refused with its exact count unless
+    # the bound alone is over the cap
+    rng = random.Random(59)
+    universe = helpers.universe_through(5, up_to_iso=False)
+    cases = list(universe)
+    for _ in range(300):
+        n = rng.randint(1, 64)
+        top = rng.randint(1, min(n, 7))
+        facets = [rng.sample(range(1, n + 1), rng.randint(1, top))
+                  for _ in range(rng.randint(1, 70))]
+        cases.append(complex_from_facets(n, facets))
+    branches = Counter()
+    for c in cases:
+        count = len(c.faces())
+        bound = max(len(c.masks), (1 << c.dimension() + 1) - 1)
+        assert bound <= count
+        if count <= 64:
+            want, branch = None, "subdivided"
+        elif bound > 64:
+            want, branch = f"subdivision needs at least {bound} vertices, cap is 64", "bound"
+        else:
+            want, branch = f"subdivision needs {count} vertices, cap is 64", "count"
+        assert _refusal(c) == want, c
+        branches[branch] += 1
+    # the random complexes reach every branch
+    assert min(branches["subdivided"] - len(universe), branches["bound"], branches["count"]) > 40
+
+
+def test_subdivision_refuses_large_facets_before_listing_faces():
+    k12 = complex_from_facets(12, itertools.combinations(range(1, 13), 2))
+    for c, least in [(full_simplex(64), 2 ** 64 - 1), (k12, 66), (full_simplex(7), 127)]:
+        start = time.perf_counter()
+        assert _refusal(c) == f"subdivision needs at least {least} vertices, cap is 64"
+        assert time.perf_counter() - start < 1.0
+    # 63 faces of a 6-vertex facet and two more vertices: the bound passes,
+    # the count does not
+    assert _refusal(cx(8, (1, 2, 3, 4, 5, 6), (7,), (8,))) == (
+        "subdivision needs 65 vertices, cap is 64")
+
+
 def test_single_point_subdivision_is_fixed():
     pt = cx(1, (1,))
-    sub, lab = barycentric_subdivision(pt)
+    sub, faces = barycentric_subdivision(pt)
     assert sub == pt
-    assert lab.faces == (VertexSet([1]),)
+    assert faces == (VertexSet([1]),)
 
 
 def test_dual_pinned_examples():

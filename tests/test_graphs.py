@@ -118,13 +118,14 @@ def test_comparability_graph_of_triangle_boundary_is_hexagon():
 
 
 def test_comparability_graph_matches_subdivision_skeleton():
-    # dual route: direct face-inclusion edges vs the subdivided complex
-    for c in helpers.universe_through(5):
+    # dual route: direct face-inclusion edges vs the subdivided complex, on
+    # one face tuple
+    for c in helpers.universe_through(5) + helpers.universe_through(4, up_to_iso=False):
         g = comparability_graph(c)
-        sub, lab = barycentric_subdivision(c)
+        sub, faces = barycentric_subdivision(c)
         assert g.vertex_count == sub.ground_size
-        assert g.labels == lab.faces
-        assert g == LabeledGraph(g.vertex_count, one_skeleton_graph(sub).edges, lab.faces)
+        assert faces == g.labels
+        assert g == LabeledGraph(g.vertex_count, one_skeleton_graph(sub).edges, faces)
 
 
 def test_comparability_graph_beyond_subdivision_cap():

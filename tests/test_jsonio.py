@@ -141,10 +141,10 @@ def test_graph_from_obj_wants_strict_integers(bad, named):
 
 
 def test_labeling_round_trip():
-    _, lab = barycentric_subdivision(TRI)
-    text = dumps(labeling_to_obj(lab))
+    _, faces = barycentric_subdivision(TRI)
+    text = dumps(labeling_to_obj(faces))
     assert text == '{"vertices": [[1], [2], [3], [1, 2], [1, 3], [2, 3]]}'
-    assert tuple(VertexSet(f) for f in json.loads(text)["vertices"]) == lab.faces
+    assert tuple(VertexSet(f) for f in json.loads(text)["vertices"]) == faces
 
 
 def test_graph_canonical_text():

@@ -23,7 +23,6 @@ from barysub import (
     enumerate_complexes,
     full_simplex,
     graph_canonical_form,
-    graphs_isomorphic,
     reconstruct_from_comparability_graph,
     relabel_complex,
     transitive_orientations,
@@ -133,25 +132,29 @@ def test_graph_canonical_form_detects_relabelings():
         assert graph_canonical_form(LabeledGraph(g.vertex_count, edges)) == form
 
 
-def test_graphs_isomorphic_regular_pairs():
-    # same degree sequence, different graphs: the prescreen cannot decide
+def test_graph_canonical_form_regular_pairs():
+    # same degree sequence, different graphs: the graph invariant ties, and
+    # only the form tells them apart
     c6 = helpers.cycle_graph(6)
     two_triangles = LabeledGraph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
-    assert not graphs_isomorphic(c6, two_triangles)
-    assert graphs_isomorphic(c6, c6)
+    invariant = verify_module._graph_invariant
+    assert invariant(c6) == invariant(two_triangles)
+    assert graph_canonical_form(c6) != graph_canonical_form(two_triangles)
+    assert not helpers.graph_brute_iso(c6, two_triangles)
     shifted = tuple(sorted(tuple(sorted(((i + 2) % 6, (j + 2) % 6))) for i, j in c6.edges))
-    assert graphs_isomorphic(c6, LabeledGraph(6, shifted))
+    assert graph_canonical_form(c6) == graph_canonical_form(LabeledGraph(6, shifted))
 
 
-def test_graphs_isomorphic_against_permutation_oracle():
+def test_graph_canonical_form_against_permutation_oracle():
     rng = random.Random(137)
     pool = [helpers.random_graph(rng, rng.randint(1, 6), rng.random()) for _ in range(16)]
     pool += [helpers.cycle_graph(3), helpers.cycle_graph(4), helpers.complete_graph(4)]
+    forms = [graph_canonical_form(g) for g in pool]
     checked = 0
     for i in range(len(pool)):
         for j in range(i, len(pool)):
             a, b = pool[i], pool[j]
-            assert graphs_isomorphic(a, b) == helpers.graph_brute_iso(a, b), (a, b)
+            assert (forms[i] == forms[j]) == helpers.graph_brute_iso(a, b), (a, b)
             checked += 1
     assert checked > 150
 
@@ -198,14 +201,13 @@ def test_rigidity_reports_are_clean():
         assert r.universe_size == size
         assert r.pair_checks == pairs
         assert r.failures == []
-        assert r.ok
 
 
 def test_rigidity_full_range():
     r = verify_subdivision_rigidity(5)
     assert r.universe_size == 180
     assert r.pair_checks == 16470
-    assert r.ok
+    assert r.failures == []
 
 
 def test_rigidity_bound():
@@ -219,7 +221,6 @@ def test_equivalence_reports_are_clean():
         assert r.universe_size == size
         assert r.pair_checks == pairs
         assert r.failures == []
-        assert r.ok
 
 
 Coarse = namedtuple("Coarse", "sort_key")
@@ -241,7 +242,6 @@ def test_harnesses_report_failures_under_a_coarse_canonical_form(monkeypatch):
         "universe[4] and universe[15] are non-isomorphic but their "
         "comparability graphs share a canonical form"
     )
-    assert not r.ok
     e = verify_equivalences(4)
     assert (e.universe_size, e.pair_checks, len(e.failures)) == (20, 230, 182)
     assert e.failures[0] == "pair (0,17): item dual answers True but complex isomorphism is False"
@@ -468,7 +468,7 @@ def test_verify_theorems_merges_in_order_and_checks_caps_first():
     both = verify_theorems(3)
     assert both.universe_size == rigidity.universe_size + equivalences.universe_size
     assert both.pair_checks == rigidity.pair_checks + equivalences.pair_checks
-    assert both.notes == rigidity.notes + equivalences.notes and both.ok
+    assert both.notes == rigidity.notes + equivalences.notes and both.failures == []
     with pytest.raises(UniverseTooLarge, match="equivalence harness capped at 4"):
         verify_theorems(5)
     with pytest.raises(UniverseTooLarge, match="rigidity harness capped at 5"):

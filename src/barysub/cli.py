@@ -3,18 +3,34 @@
 Exit codes: 0 success (or true answer), 1 well-formed false answer,
 2 malformed input or internal error (one-line JSON diagnostic on stderr).
 
-Each command is declared once, in ``COMMANDS``; ``main`` builds the parser on
-its first call and reuses it. Handlers look library operations up as module
-globals when they run, so rebinding a module name (as a tracer does) reaches them.
+Each command is declared once, in ``COMMANDS``. ``main`` reads argv of the
+plain form straight from that table, without argparse:
+
+- ``argv[0]`` is a command name;
+- every later token is a positional (it does not start with ``-``) or one of
+  that command's declared flag strings;
+- a flag that takes a value is followed by a token that does not start with
+  ``-``, converted by the option's ``type`` and, where it has ``choices``,
+  one of them;
+- there are as many positionals as the command has inputs, every required
+  option is present, and a repeated flag keeps its last value.
+
+Any other argv (help, ``--version``, usage errors, abbreviations,
+``--flag=value``, ``-ovalue``, ``--``, ``-``, negative numbers) goes to
+argparse, which is imported and built only then, once per process. Both
+give the same namespace on plain argv.
+
+Handlers look library operations up as module globals when they run, so
+rebinding a module name (as a tracer does) reaches them.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__, jsonio
 from .core import are_isomorphic
@@ -34,6 +50,9 @@ from .reconstruct import (
     reconstruct_from_subdivision,
 )
 from .verify import verify_theorems
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _read_json(path: str):
@@ -166,8 +185,14 @@ COMMANDS = {
 }
 
 
+def _options(cmd: Command) -> tuple[tuple[tuple[str, ...], dict], ...]:
+    return ((OUTPUT,) if cmd.inputs else ()) + cmd.options
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser with one subparser per entry of ``COMMANDS``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="barysub",
         description="Combinatorial operators on simplicial complexes and "
@@ -179,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=cmd.help)
         for arg, text, _ in cmd.inputs:
             p.add_argument(arg, help=text)
-        for flags, kwargs in ((OUTPUT,) if cmd.inputs else ()) + cmd.options:
+        for flags, kwargs in _options(cmd):
             p.add_argument(*flags, **kwargs)
     return parser
 
@@ -189,12 +214,78 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _dest(flags: tuple[str, ...]) -> str:
+    # argparse's rule: the first long flag, else the first flag, without its
+    # leading dashes and with "-" turned into "_"
+    long = [f for f in flags if f.startswith("--")]
+    return (long or flags)[0].lstrip("-").replace("-", "_")
+
+
+@functools.cache
+def _plain_forms() -> dict[str, tuple]:
+    """Command name -> (input names, flag -> (dest, takes a value, type,
+    choices), dest -> default of each option that is not required, required
+    dests), from ``COMMANDS``."""
+    forms = {}
+    for name, cmd in COMMANDS.items():
+        flags, defaults, required = {}, {}, set()
+        for option_strings, kwargs in _options(cmd):
+            dest = _dest(option_strings)
+            switch = kwargs.get("action") == "store_true"
+            spec = (dest, not switch, kwargs.get("type"), kwargs.get("choices"))
+            flags.update(dict.fromkeys(option_strings, spec))
+            if kwargs.get("required"):
+                required.add(dest)
+            else:
+                defaults[dest] = kwargs.get("default", False if switch else None)
+        forms[name] = (tuple(arg for arg, _, _ in cmd.inputs), flags, defaults, required)
+    return forms
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for argv of the plain form (see the
+    module docstring), or None for any other argv."""
+    form = _plain_forms().get(argv[0]) if argv else None
+    if form is None:
+        return None
+    inputs, flags, defaults, required = form
+    values, positionals = dict(defaults), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        if token not in flags:
+            return None
+        dest, takes_value, kind, choices = flags[token]
+        if not takes_value:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as an option
+        if value.startswith("-"):
+            return None
+        if kind is not None:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if len(positionals) != len(inputs) or not required <= values.keys():
+        return None
+    return SimpleNamespace(command=argv[0], **dict(zip(inputs, positionals)), **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage, 0 on --help/--version; pass through
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on bad usage, 0 on --help/--version; pass through
+            return int(exc.code or 0)
     cmd = COMMANDS[args.command]
     try:
         inputs = [read(getattr(args, arg)) for arg, _, read in cmd.inputs]

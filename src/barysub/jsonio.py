@@ -101,13 +101,12 @@ def graph_from_obj(obj) -> LabeledGraph:
         labels = tuple(VertexSet.from_mask(_vertex_mask(f)) for f in vertices)
     pairs = []
     for e in edges:
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(_is_int(v) for v in e)
-        ):
-            raise ValueError(f"edge {e!r} must be a pair of vertex indices")
-        pairs.append((e[0], e[1]))
+        if isinstance(e, list) and len(e) == 2:
+            a, b = e
+            if (type(a) is int or _is_int(a)) and (type(b) is int or _is_int(b)):
+                pairs.append((a, b))
+                continue
+        raise ValueError(f"edge {e!r} must be a pair of vertex indices")
     return LabeledGraph(count, tuple(sorted(pairs)), labels)
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from barysub import __version__, cli
-from barysub.cli import main
+from barysub.cli import COMMANDS, main
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 FIXTURES = Path(__file__).parent / "fixtures"
 COMPLEXES = FIXTURES / "complexes"
 GRAPHS = FIXTURES / "graphs"
@@ -479,10 +481,123 @@ def test_parser_is_built_once_and_build_parser_stays_fresh(capsys, monkeypatch):
     real = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
     cli._parser.cache_clear()
+    edge = str(COMPLEXES / "edge.json")
     for _ in range(3):
-        assert run(capsys, "euler", str(COMPLEXES / "edge.json")) == (0, "1\n", "")
+        assert run(capsys, "euler", edge) == (0, "1\n", "")
+    assert builds == []  # plain argv is read from COMMANDS
+    for _ in range(3):
+        assert run(capsys, "euler", "--", edge) == (0, "1\n", "")
     assert builds == [1]
     assert real() is not real()
+
+
+def test_a_plain_run_never_imports_argparse(tmp_path):
+    # -S: no site hook gets to import anything before barysub does
+    probe = ("import sys, barysub.cli as c; code = c.main(['euler', sys.argv[1], '-o', sys.argv[2]]); "
+             "print(code, 'argparse' in sys.modules, c._parser.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = tmp_path / "euler.txt"
+    done = subprocess.run([sys.executable, "-S", "-c", probe, str(COMPLEXES / "edge.json"), str(out)],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "0 False 0\n" and out.read_text() == "1\n"
+
+
+# Tokens the plain argv reader must leave to argparse: help, version,
+# abbreviations, attached values, "--", "-", negative numbers, bad values.
+_FALLBACK_TOKENS = ["-h", "--help", "--version", "--out", "--outp", "--rep", "--max", "--lab",
+                    "--output=o.json", "--theorem=2.2", "-oo.json", "-k2", "-i1", "--", "-", "-1"]
+_VALUES = ["0", "1", "2", "5", " 3", "+4", "1_0", "x", "1.5", "", "2.2", "2.3", "2.4"]
+_PATHS = ["a.json", "b c.json", "", "in/K5.json", "2", "dual"]
+_FLAGS = sorted({f for cmd in COMMANDS.values() for flags, _ in cli._options(cmd) for f in flags})
+
+
+def _plain_corpus(rng) -> list[list[str]]:
+    """Seeded argv built in the plain form; about half are then mutated by
+    inserting, replacing or deleting tokens."""
+    corpus = []
+    for _ in range(6000):
+        name = rng.choice(list(COMMANDS))
+        cmd = COMMANDS[name]
+        units = [[rng.choice(_PATHS)] for _ in cmd.inputs]
+        for flags, kwargs in cli._options(cmd):
+            # 0-2 times, a required option at least once
+            for _ in range(rng.choice([0, 1, 1, 2]) or bool(kwargs.get("required"))):
+                flag = [rng.choice(flags)]
+                if kwargs.get("action") != "store_true":
+                    flag.append(rng.choice(kwargs.get("choices") or (
+                        ["0", "1", "3", " 2", "+4"] if kwargs.get("type") else _PATHS)))
+                units.append(flag)
+        rng.shuffle(units)
+        argv = [name, *(t for unit in units for t in unit)]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            pool = rng.choice([_FALLBACK_TOKENS, _VALUES, _PATHS, _FLAGS, list(COMMANDS)])
+            at = rng.randrange(len(argv) + 1)
+            mutation = rng.randrange(3)
+            if mutation == 0:
+                argv.insert(at, rng.choice(pool))
+            elif mutation == 1 and at < len(argv):
+                argv[at] = rng.choice(pool)
+            elif at < len(argv):
+                del argv[at]
+        corpus.append(argv)
+    return corpus
+
+
+def test_plain_argv_parses_as_argparse_does():
+    parser = cli.build_parser()
+
+    def reference(argv):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"argparse refuses plain argv {argv}")
+
+    flags_seen, commands_seen, fallback_seen = set(), set(), set()
+    for argv in _plain_corpus(random.Random(29)):
+        plain = cli._plain_args(argv)
+        if plain is None:
+            fallback_seen.update(argv[:1])
+            continue
+        assert vars(plain) == reference(argv), argv
+        commands_seen.add(argv[0])
+        flags_seen.update(t for t in argv if t.startswith("-"))
+    assert flags_seen == set(_FLAGS) and commands_seen == set(COMMANDS) <= fallback_seen
+
+    tri = "t.json"
+    for argv, want in [
+        (["subdivide", "-k", "2", "-k", "3", tri], 3),      # a repeated flag keeps its last value
+        (["subdivide", tri, "-k", "0", "--labels", "a", "--labels", "b"], 0),
+        (["reconstruct", "--report", "--report", "g.json"], None),
+        (["verify", "--theorem", "2.3", "--max-vertices", "9", "--theorem", "2.2"], None),
+    ]:
+        plain = cli._plain_args(argv)
+        assert plain is not None and vars(plain) == reference(argv)
+        assert want is None or plain.k == want
+    for argv in [
+        [], ["-h"], ["--help"], ["--version"], ["dual"], ["dual", "-h"], ["dual", "--version"],
+        ["dual", tri, tri], ["dual", "--out", "o", tri], ["dual", "--output=o", tri],
+        ["dual", "-oo", tri], ["dual", "--", tri], ["dual", "-"], ["dual", tri, "-o"],
+        ["dual", tri, "-o", "-"], ["dual", tri, "-k", "2"], ["subdivide", "-k", "-1", tri],
+        ["subdivide", "-k", "x", tri], ["subdivide", "-k2", tri], ["skeleton", tri],
+        ["skeleton", "-i", "1.0", tri], ["verify"], ["verify", "--max-vertices", "3", tri],
+        ["verify", "--max-vertices", "3", "--theorem", "2.4"], ["iso", tri], ["dua", tri],
+        ["reconstruct", "--rep", "g.json"], ["reconstruct", "--report=1", "g.json"],
+    ]:
+        assert cli._plain_args(argv) is None, argv
+
+
+def test_every_workload_op_is_plain(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    parser = cli.build_parser()
+    for name in workloads.WORKLOADS:
+        for op in workloads.build(name, 1, tmp_path / name):
+            argv = [a.replace("{out}", "out/0") for a in op.argv]
+            plain = cli._plain_args(argv)
+            assert plain is not None, argv
+            assert vars(plain) == vars(parser.parse_args(argv))
 
 
 def test_table_calls_library_operations_through_module_globals(capsys, monkeypatch):

@@ -188,6 +188,30 @@ def test_graph_from_obj_rejects_malformed():
             graph_from_obj(bad)
 
 
+class _Pair(list):
+    pass
+
+
+@pytest.mark.parametrize("edges, bad", [
+    ([[0]], [0]),
+    ([[0, 1, 2]], [0, 1, 2]),
+    ([[0, None]], [0, None]),
+    (["ab"], "ab"),
+    ([[0, 1.5]], [0, 1.5]),
+    ([[True, 1]], [True, 1]),
+    ([[0, 1], [0], [2.5, 1]], [0]),  # the first bad edge in list order
+])
+def test_graph_from_obj_names_the_first_bad_edge(edges, bad):
+    with pytest.raises(ValueError) as info:
+        graph_from_obj({"vertices": 3, "edges": edges})
+    assert str(info.value) == f"edge {bad!r} must be a pair of vertex indices"
+
+
+def test_graph_from_obj_takes_list_subclass_edges():
+    g = graph_from_obj({"vertices": 3, "edges": [_Pair([1, 2]), [0, 1]]})
+    assert g.edges == ((0, 1), (1, 2))
+
+
 def test_graph_from_obj_caps_the_vertex_count():
     assert MAX_GRAPH_VERTICES == 4096
     assert graph_from_obj({"vertices": MAX_GRAPH_VERTICES, "edges": []}).vertex_count == 4096

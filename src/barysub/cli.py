@@ -101,7 +101,7 @@ def _subdivide(args, cx) -> tuple[str, int]:
 
 def _iso(args, a, b) -> tuple[str, int]:
     witness = are_isomorphic(a, b)
-    mapping = None if witness is None else list(witness.mapping)
+    mapping = None if witness is None else list(witness)
     return _json({"isomorphic": witness is not None, "map": mapping}, witness is not None)
 
 

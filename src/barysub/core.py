@@ -3,12 +3,15 @@
 Faces are subsets of {1, ..., n} stored as integer bit masks (bit i-1 is
 vertex i), so inclusion tests are single word operations. A complex stores
 only its facet masks plus a flag separating the void complex (no faces at
-all) from the empty complex (just the empty face); everything else (facets
-as VertexSets, faces, dimension, minimal nonfaces, skeleta, connectivity,
-canonical form) is derived on demand.
+all) from the empty complex (just the empty face); everything else (faces,
+dimension, minimal nonfaces, skeleta, connectivity, canonical form) is
+derived on demand. Faces leave the library as masks too; ``_mask_elements``
+decodes one into its sorted vertex tuple. A vertex map is an image tuple:
+entry i-1 is the image of vertex i.
 
 All outputs are deterministically ordered: faces by (cardinality, lex),
-everything downstream by construction from that order.
+which ``_mask_key`` computes on the masks, everything downstream by
+construction from that order.
 """
 
 from __future__ import annotations
@@ -90,79 +93,12 @@ def _mask_key(mask: int) -> int:
         mask.to_bytes(8, "little").translate(_REV8), "big")
 
 
-@functools.total_ordering
-class VertexSet:
-    """Immutable subset of the ground positions 1..64, backed by a bit mask.
-
-    The comparison operators implement the deterministic total order used
-    for all output: first by cardinality, then lexicographically on the
-    element tuple. They are NOT containment tests; use ``issubset`` for
-    inclusion. Set algebra is done on ``mask``; ``v in s`` iterates the
-    elements.
-    """
-
-    __slots__ = ("_mask",)
-
-    def __init__(self, elements=()):
-        mask = 0
-        for e in elements:
-            if not _is_int(e):
-                raise ValueError(f"vertex {e!r} must be an integer")
-            if not 1 <= e <= MAX_GROUND:
-                raise ValueError(f"vertex {e} outside 1..{MAX_GROUND}")
-            mask |= 1 << (e - 1)
-        self._mask = mask
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "VertexSet":
-        if mask < 0 or mask.bit_length() > MAX_GROUND:
-            raise ValueError(f"mask {mask:#x} outside the {MAX_GROUND}-bit range")
-        vs = cls.__new__(cls)
-        vs._mask = mask
-        return vs
-
-    @property
-    def mask(self) -> int:
-        return self._mask
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return _mask_elements(self._mask)
-
-    @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (self._mask.bit_count(), _mask_elements(self._mask))
-
-    def __len__(self) -> int:
-        return self._mask.bit_count()
-
-    def __iter__(self):
-        return iter(_mask_elements(self._mask))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VertexSet) and self._mask == other._mask
-
-    def __hash__(self) -> int:
-        return hash(self._mask)
-
-    def __lt__(self, other: "VertexSet") -> bool:
-        if not isinstance(other, VertexSet):
-            return NotImplemented
-        return _mask_key(self._mask) < _mask_key(other._mask)
-
-    def issubset(self, other: "VertexSet") -> bool:
-        return self._mask & ~other._mask == 0
-
-    def __repr__(self) -> str:
-        return f"VertexSet({self.elements!r})"
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A complex given by its facet antichain over ground set {1..ground_size}.
 
     ``masks`` is the stored form, one int per facet in (cardinality, lex)
-    order; ``facets`` is derived from it on first read, as cached VertexSets.
+    order.
     ``void=True`` encodes the void complex (no faces, not even the empty
     one); it always has no facets. ``void=False`` with no facets is the
     empty complex, whose single face is the empty set. Both have
@@ -199,10 +135,6 @@ class SimplicialComplex:
                 raise ValueError("facets must be strictly sorted by (size, lex)")
             prev, size = m, c
 
-    @functools.cached_property
-    def facets(self) -> tuple[VertexSet, ...]:
-        return tuple(VertexSet.from_mask(m) for m in self.masks)
-
     @property
     def full_mask(self) -> int:
         return (1 << self.ground_size) - 1
@@ -220,9 +152,9 @@ class SimplicialComplex:
                 sub = (sub - 1) & m
         return seen
 
-    def faces(self) -> list[VertexSet]:
-        """All nonempty faces, sorted by (cardinality, lex)."""
-        return [VertexSet.from_mask(m) for m in sorted(self._face_set(), key=_mask_key)]
+    def faces(self) -> list[int]:
+        """All nonempty faces as masks, sorted by (cardinality, lex)."""
+        return sorted(self._face_set(), key=_mask_key)
 
     def dimension(self) -> int:
         # the masks are sorted by cardinality first, so the last is largest
@@ -239,8 +171,8 @@ class SimplicialComplex:
             total += -1 if m.bit_count() % 2 == 0 else 1
         return total
 
-    def minimal_nonfaces(self) -> list[VertexSet]:
-        """Inclusion-minimal nonfaces, sorted by (cardinality, lex).
+    def minimal_nonfaces(self) -> list[int]:
+        """Inclusion-minimal nonfaces as masks, sorted by (cardinality, lex).
 
         A set is a nonface when it lies in no facet, so the minimal nonfaces
         are exactly the minimal transversals of the facet complements.
@@ -253,9 +185,9 @@ class SimplicialComplex:
         """
         n = self.ground_size
         if self.void:
-            return [VertexSet.from_mask(0)]
+            return [0]
         if not self.masks:
-            return [VertexSet((i,)) for i in range(1, n + 1)]
+            return [1 << i for i in range(n)]
         full = self.full_mask
         # the facets' complements, smallest first
         edges = [full & ~m for m in reversed(self.masks)]
@@ -285,7 +217,7 @@ class SimplicialComplex:
                 cand |= bit
 
         search(0, [], full, (1 << len(edges)) - 1)
-        return [VertexSet.from_mask(m) for m in sorted(found, key=_mask_key)]
+        return sorted(found, key=_mask_key)
 
     def skeleton(self, i: int) -> "SimplicialComplex":
         """The i-skeleton: all faces of dimension at most i. Requires 0 <= i <= dim."""
@@ -365,12 +297,33 @@ def _antichain_complex(ground_size: int, masks) -> SimplicialComplex:
 def complex_from_facets(ground_size: int, facets) -> SimplicialComplex:
     """Build a complex from any generating family of faces.
 
-    Members are VertexSets or iterables of vertices. Empty members are
-    dropped, non-maximal members absorbed, and the facet antichain stored
-    in (cardinality, lex) order. An empty family yields the empty complex
-    ``{∅}``; use :func:`void_complex` for the void complex.
+    Members are iterables of integer vertices in 1..64 (see
+    :func:`_vertex_mask`). Empty members are dropped, non-maximal members
+    absorbed, and the facet antichain stored in (cardinality, lex) order.
+    An empty family yields the empty complex ``{∅}``; use
+    :func:`void_complex` for the void complex.
     """
-    return _generated_complex(ground_size, (VertexSet(f).mask for f in facets))
+    return _generated_complex(ground_size, map(_vertex_mask, facets))
+
+
+def _vertex_mask(entries) -> int:
+    """The mask of an iterable of vertices, each an integer in 1..64.
+
+    One walk: a non-integer raises at once, so it is named before any
+    vertex outside 1..64; the first of those is named after the walk.
+    """
+    mask = 0
+    outside = None
+    for v in entries:
+        if type(v) is not int and not _is_int(v):
+            raise ValueError(f"vertex {v!r} in vertex set {entries!r} must be an integer")
+        if 1 <= v <= MAX_GROUND:
+            mask |= 1 << (v - 1)
+        elif outside is None:
+            outside = v
+    if outside is not None:
+        raise ValueError(f"vertex {outside} outside 1..{MAX_GROUND}")
+    return mask
 
 
 def _generated_complex(ground_size: int, masks) -> SimplicialComplex:
@@ -403,55 +356,39 @@ def full_simplex(ground_size: int) -> SimplicialComplex:
     return complex_from_facets(ground_size, [range(1, ground_size + 1)])
 
 
-@dataclass(frozen=True)
-class VertexBijection:
-    """A permutation of {1..n}; ``mapping[i-1]`` is the image of vertex i."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.mapping)
-        for img in self.mapping:
-            if not _is_int(img):
-                raise ValueError(f"image {img!r} must be an integer")
-        if sorted(self.mapping) != list(range(1, n + 1)):
-            raise ValueError("mapping is not a permutation of 1..n")
-
-    @property
-    def size(self) -> int:
-        return len(self.mapping)
-
-    def apply(self, s: VertexSet) -> VertexSet:
-        return VertexSet(self.mapping[v - 1] for v in s.elements)
-
-    def inverse(self) -> "VertexBijection":
-        inv = [0] * len(self.mapping)
-        for i, img in enumerate(self.mapping):
-            inv[img - 1] = i + 1
-        return VertexBijection(tuple(inv))
+def _image_masks(masks, images) -> list[int]:
+    """Each mask carried along the vertex map ``images`` (entry i-1 is the
+    image of vertex i); the empty mask stays empty."""
+    bits = [1 << (img - 1) for img in images]
+    return [sum(bits[v - 1] for v in _mask_elements(m)) for m in masks]
 
 
-def relabel_complex(cx: SimplicialComplex, bijection) -> SimplicialComplex:
-    """Apply a vertex bijection (VertexBijection or image tuple) to a complex."""
-    bij = bijection if isinstance(bijection, VertexBijection) else VertexBijection(tuple(bijection))
-    if bij.size != cx.ground_size:
+def relabel_complex(cx: SimplicialComplex, images) -> SimplicialComplex:
+    """Apply a vertex bijection, given as its image tuple, to a complex.
+
+    ``images[i-1]`` is the image of vertex i. Raises ValueError unless the
+    images are integers forming a permutation of 1..n, n the ground size.
+    """
+    for img in images:
+        if not _is_int(img):
+            raise ValueError(f"image {img!r} must be an integer")
+    if sorted(images) != list(range(1, len(images) + 1)):
+        raise ValueError("mapping is not a permutation of 1..n")
+    if len(images) != cx.ground_size:
         raise ValueError("bijection size does not match ground set")
     if cx.void:
         return void_complex(cx.ground_size)
-    bits = [1 << (img - 1) for img in bij.mapping]
-    images = [sum(bits[v - 1] for v in _mask_elements(m)) for m in cx.masks]
-    return _antichain_complex(cx.ground_size, images)
+    return _antichain_complex(cx.ground_size, _image_masks(cx.masks, images))
 
 
 class CanonicalForm(SimplicialComplex):
     """Isomorphism-class fingerprint: the complex relabeled onto canonical positions.
 
-    Stored like any complex, as facet ``masks`` with ``facets`` derived; a
-    canonical form never equals a plain SimplicialComplex. Like every
-    complex it is a frozen dataclass, so two forms are equal, and hash
-    alike, exactly when their ``sort_key``s are equal: compare forms
-    directly. Two complexes are isomorphic exactly when their canonical
-    forms are equal.
+    Stored like any complex, as facet ``masks``; a canonical form never
+    equals a plain SimplicialComplex. Like every complex it is a frozen
+    dataclass, so two forms are equal, and hash alike, exactly when their
+    ``sort_key``s are equal: compare forms directly. Two complexes are
+    isomorphic exactly when their canonical forms are equal.
     """
 
     @property
@@ -649,8 +586,8 @@ def canonical_form(cx: SimplicialComplex) -> CanonicalForm:
     return _canonical(cx)[0]
 
 
-def are_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> VertexBijection | None:
-    """An isomorphism witness from a to b, or None.
+def are_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> tuple[int, ...] | None:
+    """An isomorphism witness from a to b, as an image tuple, or None.
 
     Complexes over different ground sizes are never isomorphic here; vertices
     outside all facets participate like any others (they must map onto
@@ -662,5 +599,7 @@ def are_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> VertexBijectio
     fb, lb = _canonical(b)
     if fa != fb:
         return None
-    inv_b = VertexBijection(lb).inverse().mapping
-    return VertexBijection(tuple(inv_b[img - 1] for img in la))
+    inv_b = [0] * len(lb)
+    for v, img in enumerate(lb, 1):
+        inv_b[img - 1] = v
+    return tuple(inv_b[img - 1] for img in la)

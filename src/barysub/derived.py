@@ -2,17 +2,17 @@
 
 The barycentric subdivision introduces one vertex per nonempty face of the
 input; its facets are the saturated chains inside the input's facets. The
-subdivision is returned with its faces, the tuple whose entry i-1 is the
-face that new vertex i replaces: the same tuple ``comparability_graph``
-carries as its labels, since that graph is the subdivision's 1-skeleton.
+subdivision is returned with its faces, the tuple of face masks whose entry
+i-1 is the face that new vertex i replaces: the same tuple
+``comparability_graph`` carries as its labels, since that graph is the
+subdivision's 1-skeleton. Generator sets are lists of masks as well.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from .core import (MAX_GROUND, SimplicialComplex, VertexSet, _antichain_complex, _mask_elements,
-                   void_complex)
+from .core import MAX_GROUND, SimplicialComplex, _antichain_complex, _mask_elements, void_complex
 from .errors import EmptyInput, GroundSetTooLarge, VoidComplex
 
 
@@ -24,7 +24,7 @@ def _require_subdividable(cx: SimplicialComplex) -> None:
 
 
 def barycentric_subdivision(
-        cx: SimplicialComplex) -> tuple[SimplicialComplex, tuple[VertexSet, ...]]:
+        cx: SimplicialComplex) -> tuple[SimplicialComplex, tuple[int, ...]]:
     """Subdivide once; returns the new complex and its faces.
 
     Facets of the result are the maximal chains of faces ordered by
@@ -45,7 +45,7 @@ def barycentric_subdivision(
         raise GroundSetTooLarge(
             f"subdivision needs {len(faces)} vertices, cap is {MAX_GROUND}"
         )
-    index = {f.mask: i + 1 for i, f in enumerate(faces)}
+    index = {f: i + 1 for i, f in enumerate(faces)}
     chains = set()
     for facet in cx.masks:
         for order in permutations(_mask_elements(facet)):
@@ -83,7 +83,7 @@ def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
     the void complex are each other's duals.
     """
     full = cx.full_mask
-    duals = [full & ~nf.mask for nf in cx.minimal_nonfaces()]
+    duals = [full & ~nf for nf in cx.minimal_nonfaces()]
     if not duals:
         return void_complex(cx.ground_size)
     return _antichain_complex(cx.ground_size, duals)
@@ -101,12 +101,12 @@ def complement_complex(cx: SimplicialComplex) -> SimplicialComplex:
     return _antichain_complex(cx.ground_size, [full & ~m for m in cx.masks] or [full])
 
 
-def stanley_reisner_generators(cx: SimplicialComplex) -> list[VertexSet]:
+def stanley_reisner_generators(cx: SimplicialComplex) -> list[int]:
     """Supports of the minimal monomial generators of the nonface ideal."""
     return cx.minimal_nonfaces()
 
 
-def facet_ideal_generators(cx: SimplicialComplex) -> list[VertexSet]:
+def facet_ideal_generators(cx: SimplicialComplex) -> list[int]:
     """Supports of the facet ideal generators: the facet list itself.
 
     The empty complex contributes the empty support (unit monomial); the
@@ -115,5 +115,5 @@ def facet_ideal_generators(cx: SimplicialComplex) -> list[VertexSet]:
     if cx.void:
         return []
     if not cx.masks:
-        return [VertexSet.from_mask(0)]
-    return list(cx.facets)
+        return [0]
+    return list(cx.masks)

@@ -1,9 +1,11 @@
 """Finite graphs, clique complexes, posets, and transitive orientation enumeration.
 
 Vertices are 0-based integers; edges are sorted (i, j) pairs with i < j.
+A vertex label, where a graph carries them, is a face mask.
 ``LabeledGraph.adj`` keeps one neighbour bit mask per vertex, which Python
 integers make size-free, so graphs may exceed the 64-element complex cap;
-only the ops that build complexes enforce it. Maximal cliques, the
+only the ops that build complexes enforce it. Maximal cliques (yielded one
+at a time, so a caller may stop at the first it rejects), the
 implication classes of the transitive-orientation search (grown by
 Γ-forcing, cached as ``LabeledGraph.implication_classes``) and its
 directed-triangle test on arc masks all work on those masks. A
@@ -17,27 +19,22 @@ masks.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import (
-    MAX_GROUND,
-    SimplicialComplex,
-    VertexSet,
-    _antichain_complex,
-    _mask_elements,
-    _skeleton_adjacency,
-)
+from .core import (MAX_GROUND, SimplicialComplex, _antichain_complex, _mask_elements,
+                   _skeleton_adjacency)
 from .errors import EmptyInput, GroundSetTooLarge, VoidComplex
 
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """An undirected graph, optionally carrying one VertexSet label per vertex."""
+    """An undirected graph, optionally carrying one face-mask label per vertex."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    labels: tuple[VertexSet, ...] | None = None
+    labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.vertex_count < 0:
@@ -110,13 +107,14 @@ class LabeledGraph:
         return classes
 
 
-def _maximal_cliques(adj: tuple[int, ...], n: int) -> list[int]:
-    # Bron-Kerbosch with pivoting on adjacency masks.
-    out: list[int] = []
+def _maximal_cliques(adj: tuple[int, ...], n: int) -> Iterator[int]:
+    # Bron-Kerbosch with pivoting on adjacency masks, yielding each maximal
+    # clique as it is found. The first path down never adds to x, so the
+    # first clique comes after at most n levels.
 
-    def bk(r: int, p: int, x: int) -> None:
+    def bk(r: int, p: int, x: int) -> Iterator[int]:
         if p == 0 and x == 0:
-            out.append(r)
+            yield r
             return
         pool = p | x
         pivot = -1
@@ -134,13 +132,12 @@ def _maximal_cliques(adj: tuple[int, ...], n: int) -> list[int]:
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
-            bk(r | low, p & adj[v], x & adj[v])
+            yield from bk(r | low, p & adj[v], x & adj[v])
             p &= ~low
             x |= low
             cand ^= low
 
-    bk(0, (1 << n) - 1, 0)
-    return out
+    return bk(0, (1 << n) - 1, 0)
 
 
 def clique_complex(g: LabeledGraph) -> SimplicialComplex:
@@ -177,11 +174,10 @@ def comparability_graph(cx: SimplicialComplex) -> LabeledGraph:
         raise EmptyInput("the empty complex has no face poset")
     faces = cx.faces()
     # (cardinality, lex) order: for i < j only faces[i] can lie in faces[j]
-    masks = [f.mask for f in faces]
     edges = tuple(
         (i, j)
-        for i, j in combinations(range(len(masks)), 2)
-        if masks[i] & ~masks[j] == 0
+        for i, j in combinations(range(len(faces)), 2)
+        if faces[i] & ~faces[j] == 0
     )
     return LabeledGraph(len(faces), edges, tuple(faces))
 

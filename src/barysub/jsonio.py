@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 
-from .core import (MAX_GROUND, SimplicialComplex, VertexSet, _generated_complex, _is_int,
-                   _mask_elements, void_complex)
+from .core import (SimplicialComplex, _generated_complex, _is_int, _mask_elements, _vertex_mask,
+                   void_complex)
 from .errors import GroundSetTooLarge
 from .graphs import LabeledGraph
 from .reconstruct import ReconstructionReport
@@ -49,33 +49,24 @@ def complex_from_obj(obj) -> SimplicialComplex:
         if facets:
             raise ValueError("void complex cannot list facets")
         return void_complex(n)
-    return _generated_complex(n, [_vertex_mask(f) for f in facets])
+    return _generated_complex(n, [_list_mask(f) for f in facets])
 
 
-def _vertex_mask(entries) -> int:
-    # One walk: a non-integer raises at once, so it beats any vertex outside
-    # 1..64, which only sets bit 64; VertexSet then names the first of those.
+def _list_mask(entries) -> int:
     if not isinstance(entries, list):
         raise ValueError(f"vertex set {entries!r} must be a list")
-    mask = 0
-    for v in entries:
-        if type(v) is not int and not _is_int(v):
-            raise ValueError(f"vertex {v!r} in vertex set {entries!r} must be an integer")
-        mask |= 1 << (v - 1) if 1 <= v <= MAX_GROUND else 1 << MAX_GROUND
-    if mask >> MAX_GROUND:
-        VertexSet(entries)  # raises ValueError
-    return mask
+    return _vertex_mask(entries)
 
 
-def labeling_to_obj(faces: tuple[VertexSet, ...]) -> dict:
-    return {"vertices": [list(f.elements) for f in faces]}
+def labeling_to_obj(faces: tuple[int, ...]) -> dict:
+    return {"vertices": [list(_mask_elements(f)) for f in faces]}
 
 
 def graph_to_obj(g: LabeledGraph) -> dict:
     if g.labels is None:
         vertices = g.vertex_count
     else:
-        vertices = [list(lbl.elements) for lbl in g.labels]
+        vertices = [list(_mask_elements(lbl)) for lbl in g.labels]
     return {"vertices": vertices, "edges": [list(e) for e in g.edges]}
 
 
@@ -98,7 +89,7 @@ def graph_from_obj(obj) -> LabeledGraph:
         )
     labels = None
     if not _is_int(vertices):
-        labels = tuple(VertexSet.from_mask(_vertex_mask(f)) for f in vertices)
+        labels = tuple(map(_list_mask, vertices))
     pairs = []
     for e in edges:
         if isinstance(e, list) and len(e) == 2:
@@ -128,8 +119,8 @@ def verification_report_to_obj(rep: VerificationReport) -> dict:
     }
 
 
-def generators_to_obj(sets: list[VertexSet]) -> dict:
-    return {"sets": [list(s.elements) for s in sets]}
+def generators_to_obj(sets: list[int]) -> dict:
+    return {"sets": [list(_mask_elements(s)) for s in sets]}
 
 
 def dumps(obj) -> str:

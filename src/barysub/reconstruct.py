@@ -80,7 +80,7 @@ from .graphs import (
     FacePoset,
     LabeledGraph,
     Orientation,
-    clique_complex,
+    _maximal_cliques,
     count_transitive_orientations,
     one_skeleton_graph,
     transitive_orientations,
@@ -297,9 +297,19 @@ def reconstruct_from_subdivision(b: SimplicialComplex) -> ReconstructionReport:
     empty complexes and any complex with a ground vertex in no facet.
     Otherwise the complex is determined by the subdivision's 1-skeleton and
     the comparability-graph path applies.
+
+    b is flag exactly when every maximal clique of its 1-skeleton is a
+    facet: each facet is a clique, so it lies in a maximal clique, which is
+    then a facet too, and facets form an antichain. The test stops at the
+    first maximal clique that is not a facet, so it lists at most one
+    clique more than b has facets, however many the 1-skeleton has (3^m
+    for the complete multipartite graph with m parts of 3, by Moon and
+    Moser).
     """
     g = one_skeleton_graph(b)
-    if clique_complex(g) != b:
-        return ReconstructionReport(STATUS_NOT_FLAG, None, 0, False)
+    facets = set(b.masks)
+    for clique in _maximal_cliques(g.adj, g.vertex_count):
+        if clique not in facets:
+            return ReconstructionReport(STATUS_NOT_FLAG, None, 0, False)
     return reconstruct_from_comparability_graph(g)
 

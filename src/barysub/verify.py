@@ -28,8 +28,8 @@ import random
 
 from .core import (
     SimplicialComplex,
-    VertexBijection,
     _antichain_complex,
+    _image_masks,
     _initial_colors,
     _mask_elements,
     canonical_form,
@@ -190,12 +190,11 @@ def _check_cap(n: int, cap: int, harness: str) -> None:
 
 def _face_map(src, dst, perm) -> list[int] | None:
     """Where the vertex permutation ``perm`` (1-based images) sends each face
-    of ``src``: its image's position in ``dst``. None when that is not a
-    bijection. A permutation sends distinct faces to distinct faces, so equal
-    lengths and every image found make it one."""
-    at = {f.mask: k for k, f in enumerate(dst)}
-    bits = [1 << (img - 1) for img in perm]
-    fmap = [at.get(sum(bits[v - 1] for v in f.elements)) for f in src]
+    mask of ``src``: its image's position in ``dst``. None when that is not
+    a bijection. A permutation sends distinct faces to distinct faces, so
+    equal lengths and every image found make it one."""
+    at = {f: k for k, f in enumerate(dst)}
+    fmap = [at.get(f) for f in _image_masks(src, perm)]
     if len(src) != len(dst) or None in fmap:
         return None
     return fmap
@@ -215,8 +214,7 @@ def _relabels_onto(cx: SimplicialComplex, perm, other: SimplicialComplex) -> boo
     when the sorted image tuple equals ``other.masks``."""
     if cx.ground_size != other.ground_size or cx.void != other.void:
         return False
-    bits = [1 << (img - 1) for img in perm]
-    return {sum(bits[v - 1] for v in _mask_elements(m)) for m in cx.masks} == set(other.masks)
+    return set(_image_masks(cx.masks, perm)) == set(other.masks)
 
 
 def _carries_subdivision(s, sc, perm) -> tuple[int, ...] | None:
@@ -239,7 +237,7 @@ def _round_trip_holds(cx: SimplicialComplex, g: LabeledGraph, rec) -> bool:
     orientation of each component, passes with the singletons as sources."""
     if rec.status != STATUS_OK:
         return False
-    witness = tuple(g.labels[v].mask.bit_length() for v in rec.source_map)
+    witness = tuple(g.labels[v].bit_length() for v in rec.source_map)
     if sorted(witness) != list(range(1, cx.ground_size + 1)):
         return False
     return _relabels_onto(rec.complex, witness, cx)
@@ -414,19 +412,19 @@ def verify_equivalences(n: int) -> VerificationReport:
             report.pair_checks += 1
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
-            witness = VertexBijection(tuple(perm))
+            witness = tuple(perm)
             copy = relabel_complex(cx, witness)
-            for item in _broken_items(transforms[i], _transforms(copy), witness.mapping):
+            for item in _broken_items(transforms[i], _transforms(copy), witness):
                 report.failures.append(
                     f"universe[{i}] relabeled by {perm}: item {item} broke"
                 )
-            srs = {witness.apply(s) for s in stanley_reisner_generators(cx)}
+            srs = set(_image_masks(stanley_reisner_generators(cx), witness))
             if srs != set(stanley_reisner_generators(copy)):
                 report.failures.append(
                     f"universe[{i}] relabeled by {perm}: Stanley-Reisner "
                     f"generators not carried onto generators"
                 )
-            fgs = {witness.apply(s) for s in facet_ideal_generators(cx)}
+            fgs = set(_image_masks(facet_ideal_generators(cx), witness))
             if fgs != set(facet_ideal_generators(copy)):
                 report.failures.append(
                     f"universe[{i}] relabeled by {perm}: facet generators "

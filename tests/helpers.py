@@ -23,7 +23,6 @@ from barysub import (
     Orientation,
     ReconstructionReport,
     SimplicialComplex,
-    VertexSet,
     canonical_form,
     comparability_graph,
     complex_from_face_poset,
@@ -46,14 +45,14 @@ def cx(n: int, *facets) -> SimplicialComplex:
 
 
 def facet_sets(c: SimplicialComplex) -> set[frozenset[int]]:
-    return {frozenset(f.elements) for f in c.facets}
+    return {frozenset(_mask_elements(m)) for m in c.masks}
 
 
 def brute_faces(c: SimplicialComplex) -> set[frozenset[int]]:
     """Nonempty faces via itertools powersets of each facet."""
     out: set[frozenset[int]] = set()
-    for f in c.facets:
-        els = f.elements
+    for m in c.masks:
+        els = _mask_elements(m)
         for r in range(1, len(els) + 1):
             for sub in combinations(els, r):
                 out.add(frozenset(sub))
@@ -64,7 +63,7 @@ def brute_minimal_nonfaces(c: SimplicialComplex) -> list[frozenset[int]]:
     """Scan all 2^n subsets; n <= 12 only."""
     n = c.ground_size
     assert n <= 12, "oracle scan too large"
-    fmasks = [f.mask for f in c.facets]
+    fmasks = c.masks
 
     def is_face(m: int) -> bool:
         if c.void:
@@ -111,7 +110,7 @@ def _unpruned_canonical_connected(c: SimplicialComplex):
     """Individualization-refinement over every leaf, pruning only siblings
     that lie in exactly the same facets; keeps the first least encoding."""
     k = c.ground_size
-    members = [tuple(v - 1 for v in f.elements) for f in c.facets]
+    members = [tuple(v - 1 for v in _mask_elements(m)) for m in c.masks]
     incident: list[list[int]] = [[] for _ in range(k)]
     for fi, mem in enumerate(members):
         for v in mem:
@@ -342,13 +341,13 @@ def brute_complex_from_face_poset(p: FacePoset):
         raise NotAFacePoset("down-sets do not form the full face family")
     if len(sources) > 64:
         raise GroundSetTooLarge(f"face poset has {len(sources)} minimal elements, cap is 64")
-    return complex_from_facets(len(sources), [VertexSet.from_mask(m) for m in tops]), sources
+    return complex_from_facets(len(sources), map(_mask_elements, tops)), sources
 
 
 def chain_count(c: SimplicialComplex) -> int:
     """Saturated singleton-to-facet chains, counted by memoized DFS."""
     n = c.ground_size
-    fmasks = {f.mask for f in c.facets}
+    fmasks = set(c.masks)
 
     def is_face(m: int) -> bool:
         return any(m & ~fm == 0 for fm in fmasks)
@@ -426,7 +425,7 @@ def random_cover_complex(rng, n: int, max_facets: int | None = None) -> Simplici
     missing = [v for v in range(1, n + 1) if not covered >> (v - 1) & 1]
     if not missing:
         return c
-    return complex_from_facets(n, [list(f.elements) for f in c.facets] + [[v] for v in missing])
+    return complex_from_facets(n, [_mask_elements(m) for m in c.masks] + [[v] for v in missing])
 
 
 def overlap_complex(rng, n: int, k: int) -> SimplicialComplex:
@@ -565,8 +564,8 @@ def unfiltered_reconstruct(g: LabeledGraph) -> ReconstructionReport:
     source_map = []
     offset = 0
     for c, sources in picked:
-        for f in c.facets:
-            facets.append(VertexSet(offset + e for e in f.elements))
+        for m in c.masks:
+            facets.append([offset + e for e in _mask_elements(m)])
         source_map.extend(sources)
         offset += c.ground_size
     merged = complex_from_facets(ground, facets)

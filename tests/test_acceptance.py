@@ -61,7 +61,7 @@ def test_criterion_1_reconstruction_round_trip(capsys):
         for c in members:
             report = reconstruct_from_comparability_graph(comparability_graph(c))
             if report.status != STATUS_OK or not are_isomorphic(report.complex, c):
-                bad.append(c.facets)
+                bad.append(c.masks)
         elapsed = time.perf_counter() - start
         assert bad == []
         assert len(members) == 208
@@ -119,11 +119,11 @@ def test_criterion_5_duality_identities(capsys):
         bad = []
         for c in pool:
             if alexander_dual(alexander_dual(c)) != c:
-                bad.append(("involution", c.facets))
-            lhs = {tuple(s) for s in stanley_reisner_generators(alexander_dual(c))}
-            rhs = {tuple(s) for s in facet_ideal_generators(complement_complex(c))}
+                bad.append(("involution", c.masks))
+            lhs = set(stanley_reisner_generators(alexander_dual(c)))
+            rhs = set(facet_ideal_generators(complement_complex(c)))
             if lhs != rhs:
-                bad.append(("generators", c.facets))
+                bad.append(("generators", c.masks))
         assert bad == []
         out["detail"] = f" ({len(pool)} complexes, 0 failures)"
 
@@ -133,7 +133,7 @@ def test_criterion_6_subdivision_invariants(capsys):
         checked = iterated = 0
         for c in helpers.universe_through(5):
             sub, _ = barycentric_subdivision(c)
-            assert all(len(s) == 2 for s in sub.minimal_nonfaces())
+            assert all(s.bit_count() == 2 for s in sub.minimal_nonfaces())
             assert sub.dimension() == c.dimension()
             assert sub.euler_characteristic() == c.euler_characteristic()
             checked += 1
@@ -141,7 +141,7 @@ def test_criterion_6_subdivision_invariants(capsys):
                 sub2 = iterated_subdivision(c, 2)
             except GroundSetTooLarge:
                 continue
-            assert all(len(s) == 2 for s in sub2.minimal_nonfaces())
+            assert all(s.bit_count() == 2 for s in sub2.minimal_nonfaces())
             assert sub2.dimension() == c.dimension()
             assert sub2.euler_characteristic() == c.euler_characteristic()
             iterated += 1
@@ -217,14 +217,14 @@ def test_criterion_7_orientation_count(capsys):
         members = [
             c
             for c in helpers.universe_through(4)
-            if c.is_connected() and len(c.facets) >= 2
+            if c.is_connected() and len(c.masks) >= 2
         ]
         assert members
         for c in members:
             g = comparability_graph(c)
             found = transitive_orientations(g)
-            assert len(found) == 2, c.facets
-            assert _count_orientations_by_backtracking(g) == 2, c.facets
+            assert len(found) == 2, c.masks
+            assert _count_orientations_by_backtracking(g) == 2, c.masks
             if len(g.edges) <= 12:
                 assert len(helpers.brute_transitive_orientations(g)) == 2
         out["detail"] = f" ({len(members)} complexes, all with exactly 2)"

@@ -18,8 +18,6 @@ from barysub import (
     LabeledGraph,
     SkeletonIndexOutOfRange,
     SimplicialComplex,
-    VertexBijection,
-    VertexSet,
     are_isomorphic,
     canonical_form,
     complex_from_facets,
@@ -41,21 +39,10 @@ from barysub.verify import enumerate_complexes
 SD5_DIGEST = "24173dac779c1aaf9c6fcc701d3f533fef7bc08505f73e6b9c630b39ff3b8012"
 
 
-def test_vertexset_basics():
-    s = VertexSet([3, 1])
-    assert s.elements == (1, 3)
-    assert len(s) == 2
-    assert 1 in s and 2 not in s
-    assert s == VertexSet((1, 3))
-    assert VertexSet([1, 2]).issubset(VertexSet([1, 2, 3]))
-    assert not VertexSet([1, 4]).issubset(VertexSet([1, 2, 3]))
-
-
-def test_vertexset_order_is_size_then_lex():
+def test_mask_key_orders_by_size_then_lex():
     # {2} < {1,4} < {2,3}: cardinality first, then element tuple
-    a, b, c = VertexSet([2]), VertexSet([1, 4]), VertexSet([2, 3])
-    assert sorted([c, b, a]) == [a, b, c]
-    assert c.sort_key == (2, (2, 3))
+    a, b, c = 0b10, 0b1001, 0b110
+    assert sorted([c, b, a], key=_mask_key) == [a, b, c]
     # the integer mask key orders masks exactly as the element-tuple key does
     rng = random.Random(41)
     masks = {1 << 63, (1 << 64) - 1}
@@ -65,7 +52,7 @@ def test_vertexset_order_is_size_then_lex():
     masks |= {m >> 1 for m in list(masks) if m > 1}
     assert all(type(_mask_key(m)) is int for m in masks)
     by_int = sorted(masks, key=_mask_key)
-    assert by_int == sorted(masks, key=lambda m: VertexSet.from_mask(m).sort_key)
+    assert by_int == sorted(masks, key=lambda m: (m.bit_count(), _mask_elements(m)))
     with pytest.raises(OverflowError):
         _mask_key(1 << 64)
 
@@ -93,27 +80,26 @@ def test_mask_elements_matches_a_per_bit_oracle():
         assert _mask_elements(m) == oracle(m), hex(m)
 
 
-def test_vertexset_rejects_non_integer_vertices():
+def test_complex_from_facets_rejects_non_integer_vertices():
     # int() would truncate 1.9, take True for 1 and parse the characters of
-    # "12"; like the JSON reader, VertexSet takes none of them for a vertex
-    with pytest.raises(ValueError, match=r"vertex 1\.9 must be an integer"):
-        VertexSet([1.9])
-    with pytest.raises(ValueError, match="vertex True must be an integer"):
-        VertexSet([True])
-    with pytest.raises(ValueError, match="vertex '1' must be an integer"):
-        complex_from_facets(3, ["12"])
+    # "12"; like the JSON reader, complex_from_facets takes none of them for
+    # a vertex, and names the vertex and its vertex set as the reader does
+    for facet, shown in [([1.9], "1.9"), ((2, True), "True"), ("12", "'1'")]:
+        with pytest.raises(ValueError) as info:
+            complex_from_facets(3, [facet])
+        assert str(info.value) == f"vertex {shown} in vertex set {facet!r} must be an integer"
+    # a non-integer is named before an earlier vertex outside 1..64
+    with pytest.raises(ValueError, match="vertex 1.5 in vertex set"):
+        complex_from_facets(3, [[70, 1.5]])
 
 
-def test_vertexset_bounds():
-    with pytest.raises(ValueError):
-        VertexSet([0])
-    with pytest.raises(ValueError):
-        VertexSet([65])
-    VertexSet([64])  # cap is inclusive
-    for mask in (-1, 1 << 64):
-        with pytest.raises(ValueError, match="outside the 64-bit range"):
-            VertexSet.from_mask(mask)
-    assert VertexSet.from_mask((1 << 64) - 1).elements == tuple(range(1, 65))
+def test_complex_from_facets_takes_vertices_in_1_to_64():
+    for facet, bad in [([0], 0), ([65], 65), ([2, 70, 0], 70), (iter([1, -4]), -4)]:
+        with pytest.raises(ValueError) as info:
+            complex_from_facets(64, [facet])
+        assert str(info.value) == f"vertex {bad} outside 1..64"
+    # the cap is inclusive
+    assert complex_from_facets(64, [[64, 1]]).masks == (1 | 1 << 63,)
 
 
 def test_constructor_normalizes():
@@ -155,16 +141,15 @@ def test_oversized_ground_set_is_refused_without_building_its_mask():
 
 
 def _assert_facet_antichain(c):
-    assert c.facets == tuple(VertexSet.from_mask(m) for m in c.masks)
-    for f, g in zip(c.facets, c.facets[1:]):
-        assert f.sort_key < g.sort_key
-    for i, f in enumerate(c.facets):
-        for j, g in enumerate(c.facets):
+    for f, g in zip(c.masks, c.masks[1:]):
+        assert (f.bit_count(), _mask_elements(f)) < (g.bit_count(), _mask_elements(g))
+    for i, f in enumerate(c.masks):
+        for j, g in enumerate(c.masks):
             if i != j:
-                assert not f.issubset(g)
+                assert f & ~g
     if not c.void:
         # normalizing the stored facets again changes nothing
-        again = complex_from_facets(c.ground_size, c.facets)
+        again = complex_from_facets(c.ground_size, map(_mask_elements, c.masks))
         assert (again.ground_size, again.masks) == (c.ground_size, c.masks)
     if not isinstance(c, CanonicalForm):
         _assert_facet_antichain(canonical_form(c))
@@ -179,7 +164,7 @@ def _derived_complexes(c, rng):
     rng.shuffle(perm)
     yield relabel_complex(c, perm)
     yield from (comp.complex for comp in c.connected_components())
-    if c.void or not c.facets:
+    if c.void or not c.masks:
         return
     yield from (c.skeleton(i) for i in range(c.dimension() + 1))
     g = comparability_graph(c)
@@ -222,7 +207,7 @@ def test_constructor_checks_its_facets():
         (3, (1,), True, "void complex cannot carry facets"),
         (3, ((1, 2),), False, "facet mask (1, 2) invalid over ground size 3"),
         (3, (True,), False, "facet mask True invalid over ground size 3"),
-        (3, (VertexSet([1]),), False, "facet mask VertexSet((1,)) invalid over ground size 3"),
+        (3, (1.0,), False, "facet mask 1.0 invalid over ground size 3"),
         (3, (0,), False, "facet mask 0 invalid over ground size 3"),
         (3, (0b1000,), False, "facet mask 8 invalid over ground size 3"),
         (3, (1, 1), False, "facets must be strictly sorted by (size, lex)"),
@@ -256,25 +241,26 @@ def test_constructor_checks_its_facets():
             assert str(info.value) == "facets must be strictly sorted by (size, lex)"
     assert verdicts == {True, False}
     assert SimplicialComplex(3, (2, 0b101)) == cx(3, (2,), (1, 3))
-    assert SimplicialComplex(3, (2, 0b101)).facets == (VertexSet([2]), VertexSet([1, 3]))
+    assert facet_sets(SimplicialComplex(3, (2, 0b101))) == {frozenset({2}), frozenset({1, 3})}
 
 
 def test_faces_triangle_boundary():
     tri = cx(3, (1, 2), (1, 3), (2, 3))
-    assert [f.elements for f in tri.faces()] == [
+    assert tri.faces() == [0b001, 0b010, 0b100, 0b011, 0b101, 0b110]
+    assert [_mask_elements(f) for f in tri.faces()] == [
         (1,), (2,), (3,), (1, 2), (1, 3), (2, 3),
     ]
 
 
 def test_faces_single_vertex():
-    assert [f.elements for f in cx(1, (1,)).faces()] == [(1,)]
+    assert cx(1, (1,)).faces() == [1]
 
 
 def test_faces_downward_closed():
     rng = random.Random(11)
     for _ in range(40):
         c = helpers.random_complex(rng, rng.randint(1, 7))
-        faces = {frozenset(f.elements) for f in c.faces()}
+        faces = {frozenset(_mask_elements(f)) for f in c.faces()}
         assert faces == helpers.brute_faces(c)
         for f in faces:
             for e in f:
@@ -299,17 +285,17 @@ def test_purity():
 
 def test_minimal_nonfaces_pinned():
     tri = cx(3, (1, 2), (1, 3), (2, 3))
-    assert [s.elements for s in tri.minimal_nonfaces()] == [(1, 2, 3)]
+    assert tri.minimal_nonfaces() == [0b111]
     two_edges = cx(4, (1, 2), (3, 4))
-    assert [s.elements for s in two_edges.minimal_nonfaces()] == [
+    assert [_mask_elements(s) for s in two_edges.minimal_nonfaces()] == [
         (1, 3), (1, 4), (2, 3), (2, 4),
     ]
     assert full_simplex(3).minimal_nonfaces() == []
 
 
 def test_minimal_nonfaces_corners():
-    assert [s.elements for s in void_complex(3).minimal_nonfaces()] == [()]
-    assert [s.elements for s in empty_complex(3).minimal_nonfaces()] == [(1,), (2,), (3,)]
+    assert void_complex(3).minimal_nonfaces() == [0]
+    assert empty_complex(3).minimal_nonfaces() == [0b001, 0b010, 0b100]
 
 
 def test_minimal_nonfaces_against_brute_force():
@@ -325,7 +311,7 @@ def test_minimal_nonfaces_against_brute_force():
     for _ in range(60):
         cases.append(helpers.overlap_complex(rng, rng.randint(1, 12), rng.randint(1, 8)))
     for c in cases:
-        got = [frozenset(s.elements) for s in c.minimal_nonfaces()]
+        got = [frozenset(_mask_elements(s)) for s in c.minimal_nonfaces()]
         assert got == helpers.brute_minimal_nonfaces(c), c
 
 
@@ -333,11 +319,11 @@ def test_minimal_nonfaces_local_criterion():
     rng = random.Random(17)
     for _ in range(40):
         c = helpers.random_complex(rng, rng.randint(2, 10))
-        faces = {f.mask for f in c.faces()}
+        faces = set(c.faces())
         for s in c.minimal_nonfaces():
-            assert s.mask not in faces and s.mask != 0
-            for e in s.elements:
-                smaller = s.mask & ~(1 << (e - 1))
+            assert s not in faces and s != 0
+            for e in _mask_elements(s):
+                smaller = s & ~(1 << (e - 1))
                 assert smaller == 0 or smaller in faces
 
 
@@ -351,7 +337,7 @@ def test_skeleton_pinned():
     assert tri.skeleton(1) == tri
     # only the output is built: the 2,016 edges, not the 2^64 faces
     edges = full_simplex(64).skeleton(1)
-    assert len(edges.facets) == 2016
+    assert len(edges.masks) == 2016
     assert edges == complex_from_facets(64, combinations(range(1, 65), 2))
 
 
@@ -447,10 +433,10 @@ def test_vertex_partition_matches_breadth_first_search():
         cases.append(complex_from_facets(n, facets))
     cases += [void_complex(n) for n in (1, 2, 7, 64)]
     cases += [empty_complex(n) for n in (1, 5)]
-    assert any(not c.has_all_vertices and c.facets for c in cases)
+    assert any(not c.has_all_vertices and c.masks for c in cases)
     for c in cases:
         edges = {
-            (a - 1, b - 1) for f in c.facets for a, b in combinations(f.elements, 2)
+            (a - 1, b - 1) for m in c.masks for a, b in combinations(_mask_elements(m), 2)
         }
         expected = helpers.brute_components(c.ground_size, edges)
         assert c._vertex_partition() == [_vertex_mask(g) for g in expected], c
@@ -475,8 +461,8 @@ def test_connected_components_relabeling_round_trip():
     comps = c.connected_components()
     rebuilt = set()
     for comp in comps:
-        for f in comp.complex.facets:
-            rebuilt.add(frozenset(comp.vertices[v - 1] for v in f.elements))
+        for m in comp.complex.masks:
+            rebuilt.add(frozenset(comp.vertices[v - 1] for v in _mask_elements(m)))
     assert rebuilt == facet_sets(c)
 
 
@@ -581,7 +567,7 @@ def test_canonical_labeling_maps_to_form():
         c = helpers.random_complex(rng, rng.randint(1, 7))
         lab = _canonical(c)[1]
         form = canonical_form(c)
-        assert relabel_complex(c, lab).facets == form.facets
+        assert relabel_complex(c, lab).masks == form.masks
 
 
 def _complete_1_complex(n: int) -> SimplicialComplex:
@@ -633,11 +619,11 @@ def test_canonical_forms_of_highly_symmetric_complexes():
     rng = random.Random(41)
     for n in (9, 10):
         k = _complete_1_complex(n)
-        assert canonical_form(k).facets == k.facets
+        assert canonical_form(k).masks == k.masks
         assert _canonical(k)[1] == tuple(range(1, n + 1))
         assert canonical_form(_shuffled(rng, k)) == canonical_form(k)
     skeleton = complex_from_facets(8, list(combinations(range(1, 9), 3)))
-    assert canonical_form(skeleton).facets == skeleton.facets
+    assert canonical_form(skeleton).masks == skeleton.masks
     assert _canonical(skeleton)[1] == tuple(range(1, 9))
     assert canonical_form(_shuffled(rng, skeleton)) == canonical_form(skeleton)
     sd5 = _subdivided_simplex(5)
@@ -654,7 +640,7 @@ def test_canonical_form_of_a_complex_with_a_large_facet():
     big = range(1, 18)
     a = complex_from_facets(24, [big] + [(v, v + 1) for v in range(17, 24)])
     b = complex_from_facets(24, [big] + [(v, v + 1) for v in range(17, 23)] + [(24, 1)])
-    assert sorted(len(f) for f in a.facets) == sorted(len(f) for f in b.facets)
+    assert sorted(m.bit_count() for m in a.masks) == sorted(m.bit_count() for m in b.masks)
     assert canonical_form(a) != canonical_form(b)
     assert are_isomorphic(a, b) is None
     rng = random.Random(23)
@@ -672,7 +658,7 @@ def test_canonical_form_of_the_full_64_simplex_is_fast():
     start = time.perf_counter()
     form = canonical_form(full)
     assert time.perf_counter() - start < 1.0
-    assert form.facets == full.facets
+    assert form.masks == full.masks
 
 
 def test_void_vs_empty_are_distinct():
@@ -683,21 +669,23 @@ def test_void_vs_empty_are_distinct():
 
 
 def test_vertex_bijection_validation():
-    with pytest.raises(ValueError):
-        VertexBijection((1, 1))
-    bij = VertexBijection((2, 3, 1))
-    assert bij.inverse().mapping == (3, 1, 2)
-    assert bij.apply(VertexSet([1, 3])).elements == (1, 2)
+    # a vertex bijection is the tuple of the images of 1..n
+    with pytest.raises(ValueError, match="mapping is not a permutation of 1..n"):
+        relabel_complex(cx(2, (1,), (2,)), (1, 1))
+    assert relabel_complex(cx(3, (1, 3), (2,)), (2, 3, 1)) == cx(3, (1, 2), (3,))
+    # are_isomorphic returns one: the images of a's vertices in b
+    a, b = cx(3, (1, 3), (2,)), cx(3, (1, 2), (3,))
+    w = are_isomorphic(a, b)
+    assert type(w) is tuple and sorted(w) == [1, 2, 3]
+    assert relabel_complex(a, w) == b
 
 
 def test_vertex_bijection_takes_only_integer_images():
     # a float compares equal to its integer, True to 1, and a string does
-    # not sort with ints: each is refused with ValueError, as in VertexSet
-    for mapping in [(1.0, 2.0), (True, 2), ("1", 2)]:
+    # not sort with ints: each is refused with ValueError, as vertices are
+    for mapping in [(1.0, 2.0), (True, 2), ("1", 2), (2.0, 1.0)]:
         with pytest.raises(ValueError, match="must be an integer"):
-            VertexBijection(mapping)
-    with pytest.raises(ValueError, match="must be an integer"):
-        relabel_complex(cx(2, (1,), (2,)), (2.0, 1.0))
+            relabel_complex(cx(2, (1,), (2,)), mapping)
 
 
 def test_relabel_complex_wants_a_bijection_of_the_ground_size():

@@ -6,6 +6,7 @@ from math import factorial
 from pathlib import Path
 import random
 import sys
+import time
 
 import pytest
 
@@ -32,6 +33,7 @@ from barysub import (
     clique_complex,
     comparability_graph,
     complex_from_face_poset,
+    complex_from_facets,
     count_transitive_orientations,
     empty_complex,
     full_simplex,
@@ -192,20 +194,40 @@ def test_face_poset_check_matches_brute_force_on_hand_built_posets():
     }
 
 
+def _multipartite_skeleton(m: int):
+    """The 1-skeleton of the complete multipartite graph with m parts of 3.
+    That graph has 3^m maximal cliques (Moon and Moser), and for m >= 3 a
+    triangle across three parts is a minimal nonface, so it is not flag."""
+    n = 3 * m
+    return complex_from_facets(n, [
+        (u, v) for u, v in combinations(range(1, n + 1), 2) if (u - 1) // 3 != (v - 1) // 3
+    ])
+
+
 def test_clique_flag_test_matches_two_element_minimal_nonfaces():
     cases = [void_complex(1), void_complex(3), empty_complex(1), empty_complex(3)]
     # a ground vertex in no facet
     cases += [cx(3, (1, 2)), cx(4, (1, 2, 3)), cx(5, (1, 2), (2, 3), (1, 3))]
+    cases += [_multipartite_skeleton(m) for m in (2, 3, 4)]
     for c in helpers.universe_through(4):
         cases += [c, barycentric_subdivision(c)[0]]
     flags = 0
     for b in cases:
-        flag = all(len(nf) == 2 for nf in b.minimal_nonfaces())
+        flag = all(nf.bit_count() == 2 for nf in b.minimal_nonfaces())
         flags += flag
         assert (clique_complex(one_skeleton_graph(b)) == b) == flag, b
         r = reconstruct_from_subdivision(b)
         assert (r.status == STATUS_NOT_FLAG) == (not flag), b
     assert 0 < flags < len(cases)
+    # m = 21: 63 vertices, 1,890 edge facets and 3^21 maximal cliques, of
+    # which the test lists only the first
+    b = _multipartite_skeleton(21)
+    assert len(b.masks) == 1890
+    assert any(nf.bit_count() == 3 for nf in b.minimal_nonfaces())
+    start = time.perf_counter()
+    r = reconstruct_from_subdivision(b)
+    assert time.perf_counter() - start < 1.0
+    assert (r.status, r.complex, r.orientations_tried) == (STATUS_NOT_FLAG, None, 0)
 
 
 def test_canonical_form_runs_only_with_two_successes(monkeypatch):
@@ -390,8 +412,8 @@ def test_unique_success_recovers_the_labeling():
         images = [0] * c.ground_size
         for i, src in enumerate(r.source_map, start=1):
             label = g.labels[src]
-            assert len(label) == 1
-            images[label.elements[0] - 1] = i
+            assert label.bit_count() == 1
+            images[label.bit_length() - 1] = i
         assert relabel_complex(c, tuple(images)) == r.complex
 
 
@@ -426,6 +448,17 @@ def test_reconstruct_from_subdivision_round_trip():
         assert are_isomorphic(r.complex, c) is not None, c
 
 
+def test_reconstruct_from_subdivision_on_the_largest_roundtrip_members():
+    # the benchmark's roundtrip rebuilds these 6- and 7-vertex complexes only
+    # from their comparability graphs; their subdivisions have 41-63
+    # vertices and 120-720 facets, so the flag test lists that many cliques
+    for n, i in [(6, 4), (6, 5), (6, 3), (6, 2), (7, 2)]:
+        c = complex_from_facets(n, combinations(range(1, n + 1), i + 1))
+        r = reconstruct_from_subdivision(barycentric_subdivision(c)[0])
+        assert r.status == STATUS_OK, (n, i)
+        assert are_isomorphic(r.complex, c) is not None, (n, i)
+
+
 def test_flag_complexes_that_are_not_skeletons():
     # flag inputs reach the graph stage and may still fail there
     c4_complex = cx(4, (1, 2), (2, 3), (3, 4), (1, 4))
@@ -437,7 +470,7 @@ def _reversed_inclusion(g: LabeledGraph) -> FacePoset:
     """The face order on g's labels, reversed: larger faces below smaller."""
     return FacePoset.from_relation(range(g.vertex_count), {
         (j, i) for i, a in enumerate(g.labels) for j, b in enumerate(g.labels)
-        if a != b and a.issubset(b)
+        if a != b and a & ~b == 0
     })
 
 

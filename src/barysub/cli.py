@@ -56,20 +56,24 @@ if TYPE_CHECKING:
 
 
 def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            # the decoder recurses once per nesting level
-            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        # newlines as text mode reads them, so decode errors keep their positions
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text + "\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with open(path, "wb") as fh:
+            fh.write((text + "\n").encode())
 
 
 def _read_complex(path: str):

@@ -10,10 +10,12 @@ implication classes of the transitive-orientation search (grown by
 Γ-forcing, cached as ``LabeledGraph.implication_classes``) and its
 directed-triangle test on arc masks all work on those masks. A
 transitive orientation is a strict order, so the search returns each one
-as a ``FacePoset``: one up-set mask per vertex, its arc masks at a leaf.
-The same class phase alone decides orientability, and the number of
-orientations is Gallai's product, read off the classes' tail and head
-masks.
+as a ``FacePoset``: one up-set mask per vertex. The same class phase
+alone decides orientability, and the number of orientations is Gallai's
+product, read off the classes' tail and head masks. When that number is
+2^classes, every side choice of the classes is transitive, and each
+orientation is the OR of one side's out-masks per class: the triangle
+test runs only when the number is smaller.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
+from operator import or_
 
 from .core import (MAX_GROUND, SimplicialComplex, _antichain_complex, _mask_elements,
                    _skeleton_adjacency)
@@ -93,16 +96,19 @@ class LabeledGraph:
                 tails = adj[b] & ~adj[a] & ~(1 << a)
                 if heads & back[a] or tails & fwd[b]:
                     return None
+                # most arcs force nothing new
                 new_heads = heads & ~fwd[a]
+                if new_heads:
+                    fwd[a] |= new_heads
+                    for c in _mask_elements(new_heads):
+                        back[c - 1] |= 1 << a
+                        grown.append((a, c - 1))
                 new_tails = tails & ~back[b]
-                fwd[a] |= new_heads
-                back[b] |= new_tails
-                for c in _mask_elements(new_heads):
-                    back[c - 1] |= 1 << a
-                    grown.append((a, c - 1))
-                for c in _mask_elements(new_tails):
-                    fwd[c - 1] |= 1 << b
-                    grown.append((c - 1, b))
+                if new_tails:
+                    back[b] |= new_tails
+                    for c in _mask_elements(new_tails):
+                        fwd[c - 1] |= 1 << b
+                        grown.append((c - 1, b))
             classes.append(grown)
         return classes
 
@@ -230,27 +236,41 @@ def transitive_orientations(g: LabeledGraph) -> list[FacePoset]:
 
     Each is returned as its order, ``FacePoset(tuple(range(n)), up)`` with
     ``up[v]`` the heads of the arcs leaving v. An edge's direction bit is 0
-    when it points min -> max and 1 otherwise. Enumerates consistent choices
-    over the arc implication classes and runs a directed-triangle test on
-    arc masks; together those two constraints are exactly transitivity, so
-    the arc masks at a leaf need no closure or check. The depth-first search
-    emits the sorted order directly: it decides the classes in first-edge
-    order and tries first the side that points each class's first edge
-    min -> max. Empty result means the graph is not a comparability graph.
-    The search has one level per class and may take time exponential in
-    their number, so callers with arbitrary input count first:
-    ``count_transitive_orientations`` gives the length of the result
-    without the search. Reconstruction searches only components with at
-    most two classes, which have at most four orientations.
+    when it points min -> max and 1 otherwise. Every transitive orientation
+    picks one side of each arc implication class, so when Gallai's count
+    (``count_transitive_orientations``) is 2^classes, every side choice is
+    transitive: each class side's out-masks are built once, and each
+    orientation is the OR of one side per class. Only when the count is
+    below 2^classes does a depth-first search over the side choices run a
+    directed-triangle test on arc masks; together those two constraints
+    are exactly transitivity, so the arc masks at a leaf need no closure or
+    check. Both emit the sorted order directly: they decide the classes in
+    first-edge order and take first the side that points each class's
+    first edge min -> max. Empty result means the graph is not a
+    comparability graph. The result may be exponential in the number of
+    classes, so callers with arbitrary input count first:
+    ``count_transitive_orientations`` gives its length without building it.
+    Reconstruction searches only components with at most two classes,
+    which have exactly 2^classes <= 4 orientations.
     """
     n = g.vertex_count
     classes = g.implication_classes
     if classes is None:
         return []
+    elements = tuple(range(n))
+    if count_transitive_orientations(g) == 1 << len(classes):
+        ups = [(0,) * n]
+        for grown in classes:
+            # the class's out-masks on side 0, and on side 1 (arcs reversed)
+            fwd = [0] * n
+            back = [0] * n
+            for t, h in grown:
+                fwd[t] |= 1 << h
+                back[h] |= 1 << t
+            ups = [tuple(map(or_, up, side)) for up in ups for side in (fwd, back)]
+        return [FacePoset(elements, up) for up in ups]
     # sides[p]: class p's arcs as (tail, head), side 0 then side 1
     sides = [(grown, [(h, t) for t, h in grown]) for grown in classes]
-
-    elements = tuple(range(n))
     out = [0] * n
     into = [0] * n
     results: list[FacePoset] = []

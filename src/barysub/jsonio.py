@@ -123,7 +123,10 @@ def generators_to_obj(sets: list[int]) -> dict:
     return {"sets": [list(_mask_elements(s)) for s in sets]}
 
 
+_encode = json.JSONEncoder(separators=(", ", ": ")).encode
+
+
 def dumps(obj) -> str:
     """Canonical single-line JSON text (insertion-ordered keys, no floats)."""
-    return json.dumps(obj, separators=(", ", ": "))
+    return _encode(obj)
 

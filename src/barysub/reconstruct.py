@@ -58,8 +58,9 @@ So a face-poset component has at most two classes, and a component whose
 classes are None (no orientation) or more than two (more than 4) is
 refused at once; the count, read off the same classes by
 ``graphs.count_transitive_orientations``, is taken only to report its
-orientations tried. Any other component has at most 4 orientations, so
-the search has at most 4 leaves and depth 2.
+orientations tried. Any other component has exactly 2^classes <= 4
+orientations, so by (d) every side choice of its classes is transitive,
+and ``transitive_orientations`` emits each one with no triangle test.
 """
 
 from __future__ import annotations
@@ -182,7 +183,8 @@ class ReconstructionReport:
     are counted from the implication classes, not enumerated; the number is
     the same, since each of them would fail the face-poset check.
     ``both_orientations_admissible`` says whether some
-    component admitted at least two successful orientations.
+    component admitted at least two successful orientations; they rebuild
+    isomorphic complexes, and often equal ones.
     ``source_map[i-1]`` is the input-graph vertex that became ground
     vertex i.
     """
@@ -206,8 +208,10 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     implication classes are None or more than two has no orientation or
     more than four, so none can survive: it is refused at once, with its
     orientation count as the orientations tried. When a component has two
-    or more survivors, their canonical forms must agree (the rigidity
-    self-check); a single survivor needs no canonical form. When there is
+    or more survivors, their complexes must be isomorphic (the rigidity
+    self-check). Survivors that rebuild equal complexes need no canonical
+    form; forms are computed only when two of them differ, as for the
+    4-cycle and the 5-cycle, and must then agree. When there is
     one component, its survivor's complex is returned as built. Fails with
     "not_orientable" when some component has no transitive orientation and
     "not_face_poset" when none of a component's orientations is a face
@@ -258,8 +262,9 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
             status = STATUS_NOT_FACE_POSET
             break
         if len(successes) >= 2:
-            forms = {canonical_form(cx) for cx, _ in successes}
-            if len(forms) != 1:
+            # equal complexes need no canonical form
+            built = {cx for cx, _ in successes}
+            if len(built) > 1 and len({canonical_form(cx) for cx in built}) > 1:
                 raise RuntimeError(
                     "successful orientations disagree; rigidity violated"
                 )

@@ -459,6 +459,16 @@ def labelled_graphs(n: int) -> list[LabeledGraph]:
     ]
 
 
+def disjoint_union(*graphs: LabeledGraph) -> LabeledGraph:
+    """The graphs side by side, each one's vertices after the previous one's."""
+    edges = []
+    offset = 0
+    for g in graphs:
+        edges += [(offset + i, offset + j) for i, j in g.edges]
+        offset += g.vertex_count
+    return LabeledGraph(offset, tuple(edges))
+
+
 def cycle_graph(n: int) -> LabeledGraph:
     edges = sorted(tuple(sorted((i, (i + 1) % n))) for i in range(n))
     return LabeledGraph(n, tuple(edges))

@@ -301,6 +301,61 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path):
         }
 
 
+# Input bytes and the stderr diagnostic each gives, byte for byte. The file
+# is read in binary; newlines are translated as text mode does, so decoder
+# positions count a CRLF or a lone CR as one character, and a byte that is
+# not UTF-8 is named by its offset in the whole file.
+_READ_DIAGNOSTICS = [
+    (b'{\r\n  "ground_set": 2,\r\n  "facets": [[1, 2]\r\n}\r\n', "JSONDecodeError",
+     "Expecting ',' delimiter: line 4 column 1 (char 41)"),
+    (b'{"ground_set": 2,\r"facets":\r\r [[1 2]]}', "JSONDecodeError",
+     "Expecting ',' delimiter: line 4 column 6 (char 34)"),
+    (b'{"ground_set": 2,\r\n\r"facets": [[1, 2]],\n\r\n "x": "a\rb"}', "JSONDecodeError",
+     "Invalid control character at: line 5 column 9 (char 48)"),
+    (b'\xef\xbb\xbf{"ground_set": 1, "facets": [[1]]}', "JSONDecodeError",
+     "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (b'{"ground_set": 1, "facets": [[1]], "pad": "' + b"x" * 9000 + b'\xff"}',
+     "UnicodeDecodeError",
+     "'utf-8' codec can't decode byte 0xff in position 9043: invalid start byte"),
+    (b"[" * 100_000 + b"]" * 100_000, "ValueError", "{path}: JSON nested too deeply to decode"),
+]
+
+
+@pytest.mark.parametrize("data, error, message", _READ_DIAGNOSTICS, ids=[
+    "crlf", "lone-cr", "mixed-newlines", "bom", "bad-utf8-past-8k", "deep-nesting"])
+def test_read_diagnostics_are_pinned(capsysbinary, tmp_path, data, error, message):
+    src = tmp_path / "in.json"
+    src.write_bytes(data)
+    line = json.dumps({"error": error, "message": message.format(path=src)}).encode() + b"\n"
+    for op in ("euler", "reconstruct"):
+        assert main([op, str(src)]) == 2
+        assert capsysbinary.readouterr() == (b"", line)
+
+
+def test_path_diagnostics_are_pinned(capsysbinary, tmp_path):
+    edge = str(COMPLEXES / "edge.json")
+    missing = tmp_path / "missing.json"
+    cases = [
+        (["euler", str(missing)], "FileNotFoundError", f"[Errno 2] No such file or directory: '{missing}'"),
+        (["euler", str(tmp_path)], "IsADirectoryError", f"[Errno 21] Is a directory: '{tmp_path}'"),
+        (["euler", edge, "-o", str(missing / "x")], "FileNotFoundError",
+         f"[Errno 2] No such file or directory: '{missing / 'x'}'"),
+        (["euler", edge, "-o", str(tmp_path)], "IsADirectoryError",
+         f"[Errno 21] Is a directory: '{tmp_path}'"),
+    ]
+    for argv, error, message in cases:
+        assert main(argv) == 2, argv
+        line = json.dumps({"error": error, "message": message}).encode() + b"\n"
+        assert capsysbinary.readouterr() == (b"", line), argv
+
+
+def test_crlf_input_reads_as_lf(capsysbinary, tmp_path):
+    src = tmp_path / "crlf.json"
+    src.write_bytes(b'{\r\n"ground_set": 2,\r"facets": [[1, 2]]}\r\n')
+    assert main(["euler", str(src)]) == 0
+    assert capsysbinary.readouterr() == (b"1\n", b"")
+
+
 def test_facet_outside_ground_set_is_named_as_a_list(capsys, tmp_path):
     src = tmp_path / "outside.json"
     src.write_text('{"ground_set": 2, "facets": [[3]]}')
@@ -443,6 +498,22 @@ def _every_command_on_fixtures(tmp_path) -> list[list[str]]:
     for g in graphs:
         calls += [["reconstruct", g], ["reconstruct", "--report", g], ["check-comparability", g]]
     return calls + [["verify", "--max-vertices", "3"], ["verify", "--max-vertices", "5"]]
+
+
+def test_output_file_and_stdout_carry_the_same_bytes(capsysbinary, tmp_path):
+    # -o writes encoded bytes and stdout is text: both must give the same
+    calls = _every_command_on_fixtures(tmp_path)
+    assert {argv[0] for argv in calls} == set(COMMANDS)
+    target = tmp_path / "out.bin"
+    for argv in calls:
+        code = main(argv)
+        out, err = capsysbinary.readouterr()
+        target.unlink(missing_ok=True)
+        assert main(argv + ["-o", str(target)]) == code, argv
+        assert capsysbinary.readouterr() == (b"", err), argv
+        # a failed op writes nothing, to either
+        assert (target.read_bytes() if target.exists() else b"") == out, argv
+        assert target.exists() == (code != 2), argv
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):

@@ -28,6 +28,7 @@ from barysub import (
     transitive_orientations,
     void_complex,
 )
+import barysub.graphs as graphs_module
 from barysub.core import _mask_elements
 
 
@@ -211,17 +212,51 @@ def test_orientations_match_brute_force():
         helpers.cycle_graph(6),
         LabeledGraph(3, ((0, 1), (1, 2))),
         LabeledGraph(1, ()),
+        helpers.disjoint_union(*[helpers.path_graph(4)] * 3),
     ]
     while len(cases) < 60:
         g = helpers.random_graph(rng, rng.randint(2, 8), rng.random())
         if len(g.edges) <= 12:
             cases.append(g)
     cases += [comparability_graph(c) for c in helpers.universe_through(3)]
-    for g in cases:
+    cases += [g for n in range(6) for g in helpers.labelled_graphs(n)]
+    # the oracle walks all 2^|E| head assignments, about 8 s at 20 edges
+    # and 0.1 s at 14, so this 6-8-vertex sample stops at 14
+    sample = []
+    while len(sample) < 40:
+        n = rng.randint(6, 8)
+        g = (helpers.random_poset_graph(rng, n) if len(sample) % 2
+             else helpers.random_graph(rng, n, rng.random()))
+        if len(g.edges) <= 14:
+            sample.append(g)
+    for g in cases + sample:
         posets = transitive_orientations(g)
         got = [helpers.as_orientation(g, p).heads for p in posets]
         assert got == helpers.brute_transitive_orientations(g), g
         _assert_posets_match_their_orientations(g, posets)
+
+
+def test_orientations_without_the_triangle_test_match_the_search(monkeypatch):
+    # every side choice is emitted directly when Gallai's count is
+    # 2^classes, and searched with the triangle test below it; both sides
+    # of that test hold graphs with three or more classes
+    three_p4 = helpers.disjoint_union(*[helpers.path_graph(4)] * 3)
+    p4_c4 = helpers.module_path(4, helpers.cycle_graph(4))
+    k3, k4 = helpers.complete_graph(3), helpers.complete_graph(4)
+    for g, classes, count in [(three_p4, 3, 8), (p4_c4, 5, 32), (k3, 3, 6), (k4, 6, 24)]:
+        assert len(g.implication_classes) == classes, g
+        assert count_transitive_orientations(g) == count, g
+    # the search, forced whatever the count, is the reference past the
+    # brute-force oracle's 20 edges
+    rng = random.Random(131)
+    graphs = [three_p4, p4_c4, k3, k4, helpers.module_path(5, helpers.path_graph(4))]
+    graphs += [g for n in range(6) for g in helpers.labelled_graphs(n)]
+    graphs += [helpers.random_poset_graph(rng, rng.randint(8, 12)) for _ in range(30)]
+    for g in graphs:
+        with monkeypatch.context() as m:
+            m.setattr(graphs_module, "count_transitive_orientations", lambda g: -1)
+            searched = transitive_orientations(g)
+        assert transitive_orientations(g) == searched, g
 
 
 def _assert_posets_match_their_orientations(g, posets):

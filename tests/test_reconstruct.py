@@ -246,11 +246,28 @@ def test_canonical_form_runs_only_with_two_successes(monkeypatch):
         assert r.status == STATUS_OK and not r.both_orientations_admissible
         assert calls == [], c
     triangle_boundary = cx(3, (1, 2), (1, 3), (2, 3))
-    for g in [helpers.cycle_graph(6), comparability_graph(triangle_boundary)]:
+    four_cycle = cx(4, (1, 2), (2, 3), (3, 4), (1, 4))
+    five_cycle = cx(5, (1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
+    # two successes that rebuild the same facet masks need no form; the
+    # cycles' reversed orders rebuild them relabelled, so both get one
+    cases = [
+        (comparability_graph(triangle_boundary), 0),
+        (helpers.cycle_graph(6), 0),
+        (comparability_graph(full_simplex(4)), 0),
+        (comparability_graph(full_simplex(4).skeleton(2)), 0),
+        (comparability_graph(four_cycle), 2),
+        (comparability_graph(five_cycle), 2),
+    ]
+    for g, forms in cases:
         calls.clear()
         r = reconstruct_from_comparability_graph(g)
         assert r.status == STATUS_OK and r.both_orientations_admissible
-        assert len(calls) == 2, g
+        assert len(calls) == forms, g
+
+    # forms that disagree still break the rigidity self-check
+    monkeypatch.setattr(reconstruct_module, "canonical_form", lambda c: c.masks)
+    with pytest.raises(RuntimeError, match="rigidity violated"):
+        reconstruct_from_comparability_graph(comparability_graph(four_cycle))
 
 
 def test_reconstruct_path_graph():
@@ -581,15 +598,6 @@ def _workload_graphs(workload: str, root: Path) -> list[LabeledGraph]:
     return graphs
 
 
-def _disjoint_union(*graphs: LabeledGraph) -> LabeledGraph:
-    edges = []
-    offset = 0
-    for g in graphs:
-        edges += [(offset + i, offset + j) for i, j in g.edges]
-        offset += g.vertex_count
-    return LabeledGraph(offset, tuple(edges))
-
-
 def _complement(g: LabeledGraph) -> LabeledGraph:
     present = set(g.edges)
     pairs = combinations(range(g.vertex_count), 2)
@@ -603,9 +611,9 @@ def test_reconstruction_reports_match_the_unfiltered_search(tmp_path, monkeypatc
     graphs += [_complement(g) for g in graphs[:300]]
     # a refusal in a later component: earlier components' counts still add up
     graphs += [
-        _disjoint_union(hexagon, k3),
-        _disjoint_union(hexagon, helpers.cycle_graph(5), k3),
-        _disjoint_union(hexagon, k3, helpers.cycle_graph(5)),
+        helpers.disjoint_union(hexagon, k3),
+        helpers.disjoint_union(hexagon, helpers.cycle_graph(5), k3),
+        helpers.disjoint_union(hexagon, k3, helpers.cycle_graph(5)),
     ]
     # no twins of either kind, 2^(m+1) orientations
     graphs += [helpers.module_path(m, helpers.path_graph(4)) for m in range(1, 9)]

@@ -359,8 +359,8 @@ def full_simplex(ground_size: int) -> SimplicialComplex:
 def _image_masks(masks, images) -> list[int]:
     """Each mask carried along the vertex map ``images`` (entry i-1 is the
     image of vertex i); the empty mask stays empty."""
-    bits = [1 << (img - 1) for img in images]
-    return [sum(bits[v - 1] for v in _mask_elements(m)) for m in masks]
+    bits = [0, *(1 << (img - 1) for img in images)]  # 1-based, as _mask_elements yields
+    return [sum(map(bits.__getitem__, _mask_elements(m))) for m in masks]
 
 
 def relabel_complex(cx: SimplicialComplex, images) -> SimplicialComplex:

@@ -1,15 +1,17 @@
 """Finite graphs, clique complexes, posets, and transitive orientation enumeration.
 
-Vertices are 0-based integers; edges are sorted (i, j) pairs with i < j.
-A vertex label, where a graph carries them, is a face mask.
-``LabeledGraph.adj`` keeps one neighbour bit mask per vertex, which Python
-integers make size-free, so graphs may exceed the 64-element complex cap;
-only the ops that build complexes enforce it. Maximal cliques (yielded one
-at a time, so a caller may stop at the first it rejects), the
-implication classes of the transitive-orientation search (grown by
-Γ-forcing, cached as ``LabeledGraph.implication_classes``) and its
-directed-triangle test on arc masks all work on those masks. A
-transitive orientation is a strict order, so the search returns each one
+Vertices are 0-based integers, and a graph is stored as one neighbour bit
+mask per vertex (``LabeledGraph.adj``), which Python integers make
+size-free, so graphs may exceed the 64-element complex cap; only the ops
+that build complexes enforce it. The edge list, sorted (i, j) pairs with
+i < j, is a view read off the masks for the JSON writer and for
+``poset_from_orientation``. A vertex label, where a graph carries them,
+is a face mask. Maximal cliques (yielded one at a time, so a caller may stop at the
+first it rejects), the implication classes of the transitive-orientation
+search (grown by Γ-forcing, cached as ``LabeledGraph.implication_classes``)
+and its directed-triangle test on arc masks all work on those masks, and
+``comparability_graph`` builds them from vertex columns with no pair scan.
+A transitive orientation is a strict order, so the search returns each one
 as a ``FacePoset``: one up-set mask per vertex. The same class phase
 alone decides orientability, and the number of orientations is Gallai's
 product, read off the classes' tail and head masks. When that number is
@@ -23,7 +25,6 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
 from operator import or_
 
 from .core import (MAX_GROUND, SimplicialComplex, _antichain_complex, _mask_elements,
@@ -33,36 +34,35 @@ from .errors import EmptyInput, GroundSetTooLarge, VoidComplex
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """An undirected graph, optionally carrying one face-mask label per vertex."""
+    """An undirected graph as neighbour masks, optionally with face-mask labels.
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+    ``adj[v]`` has bit u set when u and v are adjacent. The masks must be
+    symmetric; the constructor checks only what costs O(vertices): no bit
+    at or past the vertex count, no vertex adjacent to itself, and one
+    label per vertex.
+    """
+
+    adj: tuple[int, ...]
     labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.vertex_count < 0:
-            raise ValueError("vertex count must be >= 0")
-        prev = None
-        for e in self.edges:
-            i, j = e
-            if not (0 <= i < j < self.vertex_count):
-                raise ValueError(f"edge {e!r} invalid for {self.vertex_count} vertices")
-            if e == prev:
-                raise ValueError(f"edge {list(e)} listed twice")
-            if prev is not None and e < prev:
-                raise ValueError("edges must be strictly sorted")
-            prev = e
-        if self.labels is not None and len(self.labels) != self.vertex_count:
+        n = len(self.adj)
+        for v, a in enumerate(self.adj):
+            if a >> n or a >> v & 1:
+                raise ValueError(f"neighbour mask of vertex {v} invalid for {n} vertices")
+        if self.labels is not None and len(self.labels) != n:
             raise ValueError("one label per vertex required")
 
-    @functools.cached_property
-    def adj(self) -> tuple[int, ...]:
-        """Each vertex's neighbour bit mask, built from the edges on first read."""
-        adj = [0] * self.vertex_count
-        for i, j in self.edges:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return tuple(adj)
+    @property
+    def vertex_count(self) -> int:
+        return len(self.adj)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as sorted pairs (i, j), i < j, read off the masks."""
+        verts = list(range(len(self.adj)))  # the pairs share one int per vertex
+        return tuple((i, verts[j - 1]) for i, a in enumerate(self.adj)
+                     for j in _mask_elements(a >> (i + 1) << (i + 1)))
 
     @functools.cached_property
     def implication_classes(self) -> list[list[tuple[int, int]]] | None:
@@ -70,46 +70,48 @@ class LabeledGraph:
 
         None when some class holds both directions of an edge, which happens
         exactly when the graph is not a comparability graph (Golumbic 1980,
-        ch. 5). Computed on first read and cached, as ``adj``.
+        ch. 5). Computed on first read and cached on the graph.
         """
         n = self.vertex_count
         adj = self.adj
         # Γ-forcing: arc a->b forces a->c for every c adjacent to a but not
         # to b, and c->b for every c adjacent to b but not to a. Each class
-        # grows from the first edge not yet in a class, oriented min -> max;
-        # that is its side 0, and side 1 is the same arcs reversed. fwd[v]
-        # and back[v] hold the side-0 heads and tails at v over all classes
-        # so far. They need not be per class: Γ is symmetric and commutes
-        # with reversal, so forcing never reaches an arc of an earlier class
-        # or its reverse, and any hit is the class's own.
+        # grows from the least edge {i, j}, i < j, not yet in a class,
+        # oriented i -> j; that is its side 0, and side 1 is the same arcs
+        # reversed. fwd[v] and back[v] hold the side-0 heads and tails at v
+        # over all classes so far, so the edges at i in no class yet are
+        # adj[i] & ~(fwd[i] | back[i]). They need not be per class: Γ is
+        # symmetric and commutes with reversal, so forcing never reaches an
+        # arc of an earlier class or its reverse, and any hit is the class's
+        # own.
         fwd = [0] * n
         back = [0] * n
         classes: list[list[tuple[int, int]]] = []
-        for i, j in self.edges:
-            if (fwd[i] | back[i]) >> j & 1:
-                continue
-            fwd[i] |= 1 << j
-            back[j] |= 1 << i
-            grown = [(i, j)]
-            for a, b in grown:  # grown is extended while it is walked
-                heads = adj[a] & ~adj[b] & ~(1 << b)
-                tails = adj[b] & ~adj[a] & ~(1 << a)
-                if heads & back[a] or tails & fwd[b]:
-                    return None
-                # most arcs force nothing new
-                new_heads = heads & ~fwd[a]
-                if new_heads:
-                    fwd[a] |= new_heads
-                    for c in _mask_elements(new_heads):
-                        back[c - 1] |= 1 << a
-                        grown.append((a, c - 1))
-                new_tails = tails & ~back[b]
-                if new_tails:
-                    back[b] |= new_tails
-                    for c in _mask_elements(new_tails):
-                        fwd[c - 1] |= 1 << b
-                        grown.append((c - 1, b))
-            classes.append(grown)
+        for i in range(n):
+            while rest := (adj[i] & ~(fwd[i] | back[i])) >> (i + 1):
+                j = i + (rest & -rest).bit_length()
+                fwd[i] |= 1 << j
+                back[j] |= 1 << i
+                grown = [(i, j)]
+                for a, b in grown:  # grown is extended while it is walked
+                    heads = adj[a] & ~adj[b] & ~(1 << b)
+                    tails = adj[b] & ~adj[a] & ~(1 << a)
+                    if heads & back[a] or tails & fwd[b]:
+                        return None
+                    # most arcs force nothing new
+                    new_heads = heads & ~fwd[a]
+                    if new_heads:
+                        fwd[a] |= new_heads
+                        for c in _mask_elements(new_heads):
+                            back[c - 1] |= 1 << a
+                            grown.append((a, c - 1))
+                    new_tails = tails & ~back[b]
+                    if new_tails:
+                        back[b] |= new_tails
+                        for c in _mask_elements(new_tails):
+                            fwd[c - 1] |= 1 << b
+                            grown.append((c - 1, b))
+                classes.append(grown)
         return classes
 
 
@@ -158,12 +160,7 @@ def clique_complex(g: LabeledGraph) -> SimplicialComplex:
 
 def one_skeleton_graph(cx: SimplicialComplex) -> LabeledGraph:
     """The 1-skeleton as a graph on all ground positions (vertex i-1 is position i)."""
-    edges = tuple(
-        (i, j - 1)
-        for i, a in enumerate(_skeleton_adjacency(cx))
-        for j in _mask_elements(a >> (i + 1) << (i + 1))
-    )
-    return LabeledGraph(cx.ground_size, edges)
+    return LabeledGraph(tuple(a & ~(1 << v) for v, a in enumerate(_skeleton_adjacency(cx))))
 
 
 def comparability_graph(cx: SimplicialComplex) -> LabeledGraph:
@@ -173,19 +170,31 @@ def comparability_graph(cx: SimplicialComplex) -> LabeledGraph:
     matching the subdivision's vertex numbering: this graph equals the
     subdivision's 1-skeleton. Built directly from face inclusions, so it
     works even when the subdivision itself would exceed the 64-element cap.
+    Adjacency is read off vertex columns: ``col[v]`` is the mask of faces
+    holding v, the faces above F are the AND of ``col`` over F, and the
+    faces below F are those in no column of a vertex outside F.
     """
     if cx.void:
         raise VoidComplex("the void complex has no face poset")
     if not cx.masks:
         raise EmptyInput("the empty complex has no face poset")
     faces = cx.faces()
-    # (cardinality, lex) order: for i < j only faces[i] can lie in faces[j]
-    edges = tuple(
-        (i, j)
-        for i, j in combinations(range(len(faces)), 2)
-        if faces[i] & ~faces[j] == 0
-    )
-    return LabeledGraph(len(faces), edges, tuple(faces))
+    col = [0] * (cx.ground_size + 1)  # 1-based, as _mask_elements yields
+    for k, f in enumerate(faces):
+        bit = 1 << k
+        for v in _mask_elements(f):
+            col[v] |= bit
+    everyone = (1 << len(faces)) - 1
+    # F minus its least vertex u comes before F, so up(F) is one more AND
+    ups = {0: everyone}
+    adj = []
+    for k, f in enumerate(faces):
+        up = ups[f] = ups[f & (f - 1)] & col[(f & -f).bit_length()]
+        out = 0
+        for v in _mask_elements(cx.full_mask ^ f):
+            out |= col[v]
+        adj.append((up | everyone & ~out) & ~(1 << k))
+    return LabeledGraph(tuple(adj), tuple(faces))
 
 
 @dataclass(frozen=True)

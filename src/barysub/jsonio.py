@@ -87,18 +87,26 @@ def graph_from_obj(obj) -> LabeledGraph:
         raise GroundSetTooLarge(
             f"graph with {count} vertices exceeds the {MAX_GRAPH_VERTICES}-vertex cap"
         )
+    if count < 0:
+        raise ValueError("vertex count must be >= 0")
     labels = None
     if not _is_int(vertices):
         labels = tuple(map(_list_mask, vertices))
-    pairs = []
+    # the first bad edge in list order is named as the JSON wrote it
+    adj = [0] * count
     for e in edges:
         if isinstance(e, list) and len(e) == 2:
             a, b = e
             if (type(a) is int or _is_int(a)) and (type(b) is int or _is_int(b)):
-                pairs.append((a, b))
+                if not 0 <= a < b < count:
+                    raise ValueError(f"edge {e!r} invalid for {count} vertices")
+                if adj[a] >> b & 1:
+                    raise ValueError(f"edge {e!r} listed twice")
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
                 continue
         raise ValueError(f"edge {e!r} must be a pair of vertex indices")
-    return LabeledGraph(count, tuple(sorted(pairs)), labels)
+    return LabeledGraph(tuple(adj), labels)
 
 
 def reconstruction_report_to_obj(rep: ReconstructionReport) -> dict:

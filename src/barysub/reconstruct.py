@@ -12,11 +12,13 @@ for full simplices on three or more vertices. There the whole reversal
 fails, but reversing the order below the top face succeeds, since the
 proper faces form a simplex boundary.
 
-Graphs and posets live on int bit masks. The graph splits into components
-by OR-ing its adjacency masks (``LabeledGraph.adj``), and the orientation
-search returns each order as a ``FacePoset`` (one up-set mask per element),
-so the source-set images and the face-family check are word operations on
-Python integers, with no cap on the element count.
+Graphs and posets live on int bit masks. A graph is its adjacency masks
+(``LabeledGraph.adj``); it splits into components by OR-ing them, each
+component's subgraph is its vertices' masks re-indexed, with no edge list
+built, and the orientation search returns each order as a ``FacePoset``
+(one up-set mask per element), so the source-set images and the
+face-family check are word operations on Python integers, with no cap on
+the element count.
 
 A connected face-poset graph has exactly 1, 2 or 4 transitive
 orientations: 1 for a point, 4 for a simplex on three or more vertices and
@@ -202,17 +204,17 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     Works per connected component: enumerate transitive orientations, keep
     those whose poset is a face poset, and take the disjoint union of the
     first survivor of each component. A connected graph is searched as
-    given, through a shallow copy that shares its edges and adjacency masks
-    and caches its implication classes on itself, not on g; a disconnected
-    graph is searched one induced subgraph per component. A component whose
-    implication classes are None or more than two has no orientation or
-    more than four, so none can survive: it is refused at once, with its
-    orientation count as the orientations tried. When a component has two
-    or more survivors, their complexes must be isomorphic (the rigidity
-    self-check). Survivors that rebuild equal complexes need no canonical
-    form; forms are computed only when two of them differ, as for the
-    4-cycle and the 5-cycle, and must then agree. When there is
-    one component, its survivor's complex is returned as built. Fails with
+    given, through a shallow copy that shares its adjacency masks and caches
+    its implication classes on itself, not on g; a disconnected graph is
+    searched one induced subgraph per component, built from its re-indexed
+    masks. A component whose implication classes are None or more than two
+    has no orientation or more than four, so none can survive: it is refused
+    at once, with its orientation count as the orientations tried. When a
+    component has two or more survivors, their complexes must be isomorphic
+    (the rigidity self-check). Survivors that rebuild equal complexes need
+    no canonical form; forms are computed only when two of them differ, as
+    for the 4-cycle and the 5-cycle, and must then agree. When there is one
+    component, its survivor's complex is returned as built. Fails with
     "not_orientable" when some component has no transitive orientation and
     "not_face_poset" when none of a component's orientations is a face
     poset. Raises GroundSetTooLarge when an orientation of one component is
@@ -229,20 +231,18 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     everyone = (1 << g.vertex_count) - 1
     for comp in induced_components(adj, everyone):
         if comp == everyone:
-            # the copy shares g's validated edges and adjacency masks; the
-            # classes it caches stay on the copy
+            # the copy shares g's adjacency masks; the classes it caches stay
+            # on the copy
             verts = range(g.vertex_count)
             sub = copy.copy(g)
         else:
-            verts = [v - 1 for v in _mask_elements(comp)]
-            index = {v: k for k, v in enumerate(verts)}
-            # a component is closed under edges: its subgraph is, for each of
-            # its vertices in turn, the neighbours above that vertex, re-indexed
-            sub = LabeledGraph(len(verts), tuple(
-                (k, index[j - 1])
-                for k, i in enumerate(verts)
-                for j in _mask_elements(adj[i] >> (i + 1) << (i + 1))
-            ))
+            # a component is closed under edges: its subgraph is each of its
+            # vertices' neighbour masks, re-indexed onto the component
+            members = _mask_elements(comp)
+            bit = {v: 1 << k for k, v in enumerate(members)}
+            verts = [v - 1 for v in members]
+            sub = LabeledGraph(tuple(
+                sum(map(bit.__getitem__, _mask_elements(adj[i]))) for i in verts))
         classes = sub.implication_classes
         if classes is None or len(classes) > 2:
             # a face-poset component has at most two classes (see above)

@@ -146,7 +146,7 @@ def _graph_invariant(g: LabeledGraph) -> tuple:
     refinement), sorted."""
     adj = g.adj
     deg = [a.bit_count() for a in adj]
-    return (g.vertex_count, len(g.edges), tuple(sorted(
+    return (g.vertex_count, sum(deg) // 2, tuple(sorted(
         (deg[v], tuple(sorted(deg[u - 1] for u in _mask_elements(a))))
         for v, a in enumerate(adj)
     )))
@@ -201,10 +201,11 @@ def _face_map(src, dst, perm) -> list[int] | None:
 
 
 def _carries_edges(g: LabeledGraph, h: LabeledGraph, fmap: list[int] | None) -> bool:
-    """Whether the vertex bijection ``fmap`` carries g's edges exactly onto h's."""
+    """Whether the vertex bijection ``fmap`` carries g's edges exactly onto h's:
+    each vertex's image neighbour mask must be h's mask at its image."""
     if fmap is None:
         return False
-    return {(min(fmap[a], fmap[b]), max(fmap[a], fmap[b])) for a, b in g.edges} == set(h.edges)
+    return _image_masks(g.adj, [k + 1 for k in fmap]) == [h.adj[k] for k in fmap]
 
 
 def _relabels_onto(cx: SimplicialComplex, perm, other: SimplicialComplex) -> bool:

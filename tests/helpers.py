@@ -40,6 +40,17 @@ def mask_of(elems) -> int:
     return m
 
 
+def graph(n: int, edges=(), labels=None) -> LabeledGraph:
+    """The graph on the vertices 0..n-1 with the given (i, j) edges, in any
+    order, and the given labels: each edge sets one bit in each endpoint's
+    neighbour mask."""
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return LabeledGraph(tuple(adj), labels)
+
+
 def cx(n: int, *facets) -> SimplicialComplex:
     return complex_from_facets(n, [list(f) for f in facets])
 
@@ -199,19 +210,80 @@ def canonical_dedupe(n: int) -> list[SimplicialComplex]:
     return out
 
 
+def pairwise_comparability_graph(c: SimplicialComplex) -> LabeledGraph:
+    """The comparability graph by an inclusion test on every pair of faces.
+
+    Faces come in (cardinality, lex) order, so for i < j only faces[i] can
+    lie in faces[j]. This was the library's own builder before adjacency
+    was read off vertex columns; it is kept as that builder's oracle.
+    """
+    faces = c.faces()
+    edges = [(i, j) for i, j in combinations(range(len(faces)), 2) if faces[i] & ~faces[j] == 0]
+    return graph(len(faces), edges, tuple(faces))
+
+
+def facet_pair_skeleton(c: SimplicialComplex) -> LabeledGraph:
+    """The 1-skeleton on all ground positions: every pair of vertices of
+    every facet is an edge."""
+    return graph(c.ground_size, {
+        (a - 1, b - 1) for f in c.masks for a, b in combinations(_mask_elements(f), 2)
+    })
+
+
+def edge_order_classes(g: LabeledGraph) -> list[list[tuple[int, int]]] | None:
+    """``g.implication_classes`` by the walk over the sorted edge list.
+
+    Each class grows by Γ-forcing from the first edge of ``g.edges`` in no
+    class yet, oriented min -> max; None when a class holds both directions
+    of an edge. This was the library's own walk before the next edge was
+    read off the neighbour masks; it is kept as that walk's oracle.
+    """
+    n = g.vertex_count
+    adj = g.adj
+    fwd = [0] * n
+    back = [0] * n
+    classes = []
+    for i, j in g.edges:
+        if (fwd[i] | back[i]) >> j & 1:
+            continue
+        fwd[i] |= 1 << j
+        back[j] |= 1 << i
+        grown = [(i, j)]
+        for a, b in grown:
+            heads = adj[a] & ~adj[b] & ~(1 << b)
+            tails = adj[b] & ~adj[a] & ~(1 << a)
+            if heads & back[a] or tails & fwd[b]:
+                return None
+            new_heads = heads & ~fwd[a]
+            if new_heads:
+                fwd[a] |= new_heads
+                for c in _mask_elements(new_heads):
+                    back[c - 1] |= 1 << a
+                    grown.append((a, c - 1))
+            new_tails = tails & ~back[b]
+            if new_tails:
+                back[b] |= new_tails
+                for c in _mask_elements(new_tails):
+                    fwd[c - 1] |= 1 << b
+                    grown.append((c - 1, b))
+        classes.append(grown)
+    return classes
+
+
 def brute_transitive_orientations(g: LabeledGraph) -> list[tuple[int, ...]]:
     """All 2^|E| head assignments, filtered by the transitivity definition."""
-    m = len(g.edges)
+    edges = g.edges  # a view read off the masks, so read it once
+    m = len(edges)
     assert m <= 20, "oracle needs |E| <= 20"
     results = []
     for bits in range(1 << m):
         heads = tuple(
-            g.edges[k][0] if bits >> k & 1 else g.edges[k][1] for k in range(m)
+            edges[k][0] if bits >> k & 1 else edges[k][1] for k in range(m)
         )
         arcs = set()
         succ: dict[int, list[int]] = {}
         for k in range(m):
-            i, j = g.edges[k]
+            i, j = edges[k]
             h = heads[k]
             t = i if h == j else j
             arcs.add((t, h))
@@ -226,7 +298,7 @@ def brute_transitive_orientations(g: LabeledGraph) -> list[tuple[int, ...]]:
                 break
         if ok:
             results.append(heads)
-    results.sort(key=lambda hs: tuple(0 if h == e[1] else 1 for e, h in zip(g.edges, hs)))
+    results.sort(key=lambda hs: tuple(0 if h == e[1] else 1 for e, h in zip(edges, hs)))
     return results
 
 
@@ -238,8 +310,9 @@ def brute_is_transitively_orientable(g: LabeledGraph) -> bool:
     closed by a->c (a and c not adjacent, or their edge already c->a).
     Stops at the first full orientation, which is then transitive.
     """
+    edges = g.edges
     nbrs: list[set[int]] = [set() for _ in range(g.vertex_count)]
-    for i, j in g.edges:
+    for i, j in edges:
         nbrs[i].add(j)
         nbrs[j].add(i)
     out: list[set[int]] = [set() for _ in range(g.vertex_count)]
@@ -254,9 +327,9 @@ def brute_is_transitively_orientable(g: LabeledGraph) -> bool:
         )
 
     def place(k: int) -> bool:
-        if k == len(g.edges):
+        if k == len(edges):
             return True
-        for t, h in (g.edges[k], g.edges[k][::-1]):
+        for t, h in (edges[k], edges[k][::-1]):
             if fits(t, h):
                 out[t].add(h)
                 if place(k + 1):
@@ -373,8 +446,9 @@ def graph_brute_iso(a: LabeledGraph, b: LabeledGraph) -> bool:
     n = a.vertex_count
     assert n <= 8, "oracle needs <= 8 vertices"
     tgt = set(b.edges)
+    src = a.edges
     for perm in permutations(range(n)):
-        mapped = {tuple(sorted((perm[i], perm[j]))) for i, j in a.edges}
+        mapped = {tuple(sorted((perm[i], perm[j]))) for i, j in src}
         if mapped == tgt:
             return True
     return False
@@ -439,7 +513,7 @@ def overlap_complex(rng, n: int, k: int) -> SimplicialComplex:
 
 def random_graph(rng, n: int, p: float) -> LabeledGraph:
     edges = tuple(e for e in combinations(range(n), 2) if rng.random() < p)
-    return LabeledGraph(n, edges)
+    return graph(n, edges)
 
 
 def random_poset_graph(rng, n: int) -> LabeledGraph:
@@ -447,14 +521,14 @@ def random_poset_graph(rng, n: int) -> LabeledGraph:
     i is below j when i < j and i comes before j in a random permutation.
     Its modular decomposition often has one prime node over most vertices."""
     rank = rng.sample(range(n), n)
-    return LabeledGraph(n, tuple((i, j) for i, j in combinations(range(n), 2) if rank[i] < rank[j]))
+    return graph(n, tuple((i, j) for i, j in combinations(range(n), 2) if rank[i] < rank[j]))
 
 
 def labelled_graphs(n: int) -> list[LabeledGraph]:
     """Every graph on the vertices 0..n-1, one per subset of the possible edges."""
     pairs = list(combinations(range(n), 2))
     return [
-        LabeledGraph(n, tuple(e for k, e in enumerate(pairs) if bits >> k & 1))
+        graph(n, tuple(e for k, e in enumerate(pairs) if bits >> k & 1))
         for bits in range(1 << len(pairs))
     ]
 
@@ -466,20 +540,20 @@ def disjoint_union(*graphs: LabeledGraph) -> LabeledGraph:
     for g in graphs:
         edges += [(offset + i, offset + j) for i, j in g.edges]
         offset += g.vertex_count
-    return LabeledGraph(offset, tuple(edges))
+    return graph(offset, tuple(edges))
 
 
 def cycle_graph(n: int) -> LabeledGraph:
     edges = sorted(tuple(sorted((i, (i + 1) % n))) for i in range(n))
-    return LabeledGraph(n, tuple(edges))
+    return graph(n, tuple(edges))
 
 
 def path_graph(n: int) -> LabeledGraph:
-    return LabeledGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+    return graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def complete_graph(n: int) -> LabeledGraph:
-    return LabeledGraph(n, tuple(combinations(range(n), 2)))
+    return graph(n, tuple(combinations(range(n), 2)))
 
 
 def downset_universe_count(n: int) -> int:
@@ -539,7 +613,7 @@ def unfiltered_reconstruct(g: LabeledGraph) -> ReconstructionReport:
     for comp in induced_components(g.adj, (1 << g.vertex_count) - 1):
         verts = [v - 1 for v in _mask_elements(comp)]
         index = {v: k for k, v in enumerate(verts)}
-        sub = LabeledGraph(
+        sub = graph(
             len(verts),
             tuple((index[i], index[j]) for i, j in g.edges if (comp >> i) & 1),
         )
@@ -586,7 +660,7 @@ def cocktail_party(k: int) -> LabeledGraph:
     """K_{2,...,2} on k parts: vertices 2p and 2p+1 form part p and are the
     only non-adjacent pair among them."""
     n = 2 * k
-    return LabeledGraph(
+    return graph(
         n, tuple((i, j) for i, j in combinations(range(n), 2) if j != i + 1 or i % 2)
     )
 
@@ -599,7 +673,7 @@ def module_path(m: int, module: LabeledGraph) -> LabeledGraph:
         (x * k + i, (x + 1) * k + j) for x in range(m - 1)
         for i in range(k) for j in range(k)
     ]
-    return LabeledGraph(m * k, tuple(sorted(edges)))
+    return graph(m * k, tuple(sorted(edges)))
 
 
 def has_true_twins(g: LabeledGraph) -> bool:

@@ -15,7 +15,6 @@ from barysub import (
     CanonicalForm,
     EmptyInput,
     GroundSetTooLarge,
-    LabeledGraph,
     SkeletonIndexOutOfRange,
     SimplicialComplex,
     are_isomorphic,
@@ -405,7 +404,7 @@ def _vertex_mask(vertices) -> int:
 
 def test_mask_components_match_breadth_first_search():
     assert induced_components([], 0) == []
-    assert LabeledGraph(0, ()).adj == ()
+    assert helpers.graph(0, ()).adj == ()
     rng = random.Random(113)
     for _ in range(400):
         n = rng.randint(1, 40)

@@ -43,17 +43,19 @@ def brute_cliques(g: LabeledGraph) -> set[frozenset[int]]:
 
 
 def test_labeled_graph_validation():
-    LabeledGraph(3, ((0, 1), (1, 2)))
-    with pytest.raises(ValueError):
-        LabeledGraph(3, ((1, 0),))
-    with pytest.raises(ValueError):
-        LabeledGraph(3, ((0, 3),))
-    with pytest.raises(ValueError):
-        LabeledGraph(3, ((1, 2), (0, 1)))  # unsorted
-    with pytest.raises(ValueError):
-        LabeledGraph(3, ((0, 1), (0, 1)))  # duplicate
-    with pytest.raises(ValueError):
-        LabeledGraph(2, (), labels=(0b1,))
+    g = LabeledGraph((0b010, 0b101, 0b010))
+    assert g.vertex_count == 3 and g.edges == ((0, 1), (1, 2)) and g.labels is None
+    assert set(vars(g)) == {"adj", "labels"}
+    assert LabeledGraph(()).edges == ()
+    for adj, v in [((0b100, 0b000), 0),   # a bit at n
+                   ((0b10, 0b1, 1 << 70), 2),  # a bit past n
+                   ((0b00, 0b10), 1),     # a vertex's own bit
+                   ((0b10, -1), 1)]:      # a negative mask has bits past n
+        with pytest.raises(ValueError) as info:
+            LabeledGraph(adj)
+        assert str(info.value) == f"neighbour mask of vertex {v} invalid for {len(adj)} vertices"
+    with pytest.raises(ValueError, match="one label per vertex required"):
+        LabeledGraph((0, 0), labels=(0b1,))
 
 
 def test_clique_complex_pinned():
@@ -62,7 +64,7 @@ def test_clique_complex_pinned():
     assert facet_sets(clique_complex(c4)) == {
         frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4}), frozenset({1, 4}),
     }
-    lonely = LabeledGraph(2, ())
+    lonely = helpers.graph(2, ())
     assert clique_complex(lonely) == cx(2, (1,), (2,))
 
 
@@ -77,9 +79,9 @@ def test_clique_complex_faces_are_cliques():
 
 def test_clique_complex_bounds():
     with pytest.raises(EmptyInput):
-        clique_complex(LabeledGraph(0, ()))
+        clique_complex(helpers.graph(0, ()))
     with pytest.raises(GroundSetTooLarge):
-        clique_complex(LabeledGraph(65, ()))
+        clique_complex(helpers.graph(65, ()))
 
 
 def test_one_skeleton_graph():
@@ -90,7 +92,7 @@ def test_one_skeleton_graph():
     g = one_skeleton_graph(cx(3, (1, 2)))
     assert g.vertex_count == 3 and g.edges == ((0, 1),)
     assert one_skeleton_graph(full_simplex(64)).edges == tuple(combinations(range(64), 2))
-    # against the brute-force edge set, on random complexes whose facets may
+    # against the facet-pair oracle, on random complexes whose facets may
     # leave ground vertices uncovered, and on void and empty complexes
     rng = random.Random(157)
     cases = [void_complex(4), empty_complex(3)]
@@ -103,9 +105,7 @@ def test_one_skeleton_graph():
         cases.append(complex_from_facets(n, facets))
     assert sum(not c.has_all_vertices and bool(c.masks) for c in cases) > 100
     for c in cases:
-        want = {(a - 1, b - 1) for f in c.masks for a, b in combinations(_mask_elements(f), 2)}
-        g = one_skeleton_graph(c)
-        assert g.vertex_count == c.ground_size and g.edges == tuple(sorted(want)), c
+        assert one_skeleton_graph(c) == helpers.facet_pair_skeleton(c), c
 
 
 def test_comparability_graph_of_triangle_boundary_is_hexagon():
@@ -124,7 +124,26 @@ def test_comparability_graph_matches_subdivision_skeleton():
         sub, faces = barycentric_subdivision(c)
         assert g.vertex_count == sub.ground_size
         assert faces == g.labels
-        assert g == LabeledGraph(g.vertex_count, one_skeleton_graph(sub).edges, faces)
+        assert g == helpers.graph(g.vertex_count, one_skeleton_graph(sub).edges, faces)
+
+
+def test_mask_builders_match_the_pairwise_oracles():
+    # vertex columns against an inclusion test on every pair of faces, and
+    # classes grown from the masks against the walk over the sorted edges
+    rng = random.Random(163)
+    complexes = list(helpers.universe_through(4, up_to_iso=False))
+    complexes += helpers.universe(5)
+    complexes += [helpers.random_complex(rng, rng.randint(1, 10), 4) for _ in range(80)]
+    complexes += [full_simplex(n) for n in range(1, 11)]
+    for c in complexes:
+        g = comparability_graph(c)
+        want = helpers.pairwise_comparability_graph(c)
+        assert g.adj == want.adj and g.labels == want.labels, c
+        assert g.implication_classes == helpers.edge_order_classes(want), c
+    graphs = [g for n in range(6) for g in helpers.labelled_graphs(n)]
+    graphs += [helpers.random_poset_graph(rng, rng.randint(8, 12)) for _ in range(30)]
+    for g in graphs:
+        assert g.implication_classes == helpers.edge_order_classes(g), g
 
 
 def test_comparability_graph_beyond_subdivision_cap():
@@ -159,7 +178,7 @@ def test_orientation_helpers():
 def test_transitive_orientation_counts_pinned():
     assert len(transitive_orientations(helpers.complete_graph(3))) == 6
     assert len(transitive_orientations(helpers.complete_graph(4))) == 24
-    p3 = LabeledGraph(3, ((0, 1), (1, 2)))
+    p3 = helpers.graph(3, ((0, 1), (1, 2)))
     assert len(transitive_orientations(p3)) == 2
     assert len(transitive_orientations(helpers.cycle_graph(4))) == 2
     assert transitive_orientations(helpers.cycle_graph(5)) == []
@@ -167,7 +186,7 @@ def test_transitive_orientation_counts_pinned():
 
 
 def test_edgeless_graphs_have_one_empty_orientation():
-    g = LabeledGraph(3, ())
+    g = helpers.graph(3, ())
     outs = transitive_orientations(g)
     assert len(outs) == 1 and helpers.as_orientation(g, outs[0]).heads == ()
 
@@ -210,8 +229,8 @@ def test_orientations_match_brute_force():
         helpers.cycle_graph(4),
         helpers.cycle_graph(5),
         helpers.cycle_graph(6),
-        LabeledGraph(3, ((0, 1), (1, 2))),
-        LabeledGraph(1, ()),
+        helpers.graph(3, ((0, 1), (1, 2))),
+        helpers.graph(1, ()),
         helpers.disjoint_union(*[helpers.path_graph(4)] * 3),
     ]
     while len(cases) < 60:
@@ -338,8 +357,8 @@ def test_counts_without_enumeration():
     assert count_transitive_orientations(path) == 2 ** 31
     # series node of 46 non-adjacent pairs
     assert count_transitive_orientations(helpers.cocktail_party(46)) == factorial(46)
-    assert count_transitive_orientations(LabeledGraph(0, ())) == 1
-    assert count_transitive_orientations(LabeledGraph(5, ())) == 1
+    assert count_transitive_orientations(helpers.graph(0, ())) == 1
+    assert count_transitive_orientations(helpers.graph(5, ())) == 1
     assert count_transitive_orientations(helpers.cycle_graph(7)) == 0
     assert time.perf_counter() - start < 1.0
 

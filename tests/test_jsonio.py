@@ -11,7 +11,6 @@ from helpers import cx
 from barysub import (
     EmptyInput,
     GroundSetTooLarge,
-    LabeledGraph,
     barycentric_subdivision,
     comparability_graph,
     reconstruct_from_comparability_graph,
@@ -147,7 +146,7 @@ def test_labeling_round_trip():
 
 
 def test_graph_canonical_text():
-    g = LabeledGraph(3, ((0, 1), (1, 2)))
+    g = helpers.graph(3, ((0, 1), (1, 2)))
     assert dumps(graph_to_obj(g)) == '{"vertices": 3, "edges": [[0, 1], [1, 2]]}'
     labeled = comparability_graph(cx(2, (1, 2)))
     assert dumps(graph_to_obj(labeled)) == (
@@ -199,11 +198,22 @@ class _Pair(list):
     ([[0, 1.5]], [0, 1.5]),
     ([[True, 1]], [True, 1]),
     ([[0, 1], [0], [2.5, 1]], [0]),  # the first bad edge in list order
+    # range and duplicate errors too name the edge as the JSON wrote it,
+    # in list order, with no sort first: (edge, reason)
+    ([[0, 2], [2, 1]], ([2, 1], "invalid for 3 vertices")),  # reversed
+    ([[0, 1], [1, 1]], ([1, 1], "invalid for 3 vertices")),  # self-loop
+    ([[0, 3], [0, 1]], ([0, 3], "invalid for 3 vertices")),  # out of range
+    ([[1, 2], [0, 1], [1, 2]], ([1, 2], "listed twice")),
+    ([[1, 2], [0, 1], [0, 1], [2, 0], ["x"]], ([0, 1], "listed twice")),
+    ([[1, 2], [0, 5], [1, 2], [0]], ([0, 5], "invalid for 3 vertices")),
+    ([[1, 2], [2, 2.5], [0, 5], [1, 2]], [2, 2.5]),
 ])
 def test_graph_from_obj_names_the_first_bad_edge(edges, bad):
+    # a bare edge is malformed; an (edge, reason) pair names the reason
+    edge, reason = bad if isinstance(bad, tuple) else (bad, "must be a pair of vertex indices")
     with pytest.raises(ValueError) as info:
         graph_from_obj({"vertices": 3, "edges": edges})
-    assert str(info.value) == f"edge {bad!r} must be a pair of vertex indices"
+    assert str(info.value) == f"edge {edge!r} {reason}"
 
 
 def test_graph_from_obj_takes_list_subclass_edges():

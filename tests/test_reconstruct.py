@@ -46,7 +46,7 @@ from barysub import (
     void_complex,
 )
 
-P3 = LabeledGraph(3, ((0, 1), (1, 2)))
+P3 = helpers.graph(3, ((0, 1), (1, 2)))
 
 
 def test_poset_from_path_orientation():
@@ -69,7 +69,7 @@ def test_poset_from_hexagon_orientation():
 
 
 def test_poset_single_vertex():
-    g = LabeledGraph(1, ())
+    g = helpers.graph(1, ())
     p = poset_from_orientation(g, Orientation((), ()))
     assert p.elements == (0,) and p.up == (0,)
 
@@ -111,12 +111,12 @@ def test_complex_from_face_poset_failure_modes():
         with pytest.raises(NotAFacePoset, match="injective"):
             complex_from_face_poset(p)
     # the star K_{1,3} with a universal sink misses the pair faces
-    star = LabeledGraph(4, ((0, 3), (1, 3), (2, 3)))
+    star = helpers.graph(4, ((0, 3), (1, 3), (2, 3)))
     up = Orientation(star.edges, (3, 3, 3))
     with pytest.raises(NotAFacePoset, match="face family"):
         complex_from_face_poset(poset_from_orientation(star, up))
     # order/inclusion mismatch: {0,1} below {0,1,2} without the relation pair
-    g5 = LabeledGraph(5, ((0, 3), (0, 4), (1, 3), (1, 4), (2, 4)))
+    g5 = helpers.graph(5, ((0, 3), (0, 4), (1, 3), (1, 4), (2, 4)))
     o5 = Orientation(g5.edges, (3, 4, 3, 4, 4))
     with pytest.raises(NotAFacePoset, match="inclusion"):
         complex_from_face_poset(poset_from_orientation(g5, o5))
@@ -305,10 +305,10 @@ def test_reconstruct_small_cycles_fail():
 def test_is_complex_comparability_graph():
     for g, ok in [(helpers.cycle_graph(3), False), (helpers.cycle_graph(4), False),
                   (helpers.cycle_graph(5), False), (helpers.cycle_graph(6), True),
-                  (LabeledGraph(1, ()), True)]:
+                  (helpers.graph(1, ()), True)]:
         assert (reconstruct_from_comparability_graph(g).status == STATUS_OK) == ok, g
     with pytest.raises(EmptyInput):
-        reconstruct_from_comparability_graph(LabeledGraph(0, ()))
+        reconstruct_from_comparability_graph(helpers.graph(0, ()))
 
 
 def test_round_trip_over_small_universe():
@@ -337,7 +337,7 @@ def test_reconstruct_disconnected_graphs():
     assert r.status == STATUS_OK
     assert are_isomorphic(r.complex, mixed) is not None
     # a failing component poisons the whole graph
-    c5_plus_point = LabeledGraph(
+    c5_plus_point = helpers.graph(
         6, tuple(sorted(tuple(sorted((i, (i + 1) % 5))) for i in range(5)))
     )
     r = reconstruct_from_comparability_graph(c5_plus_point)
@@ -345,16 +345,17 @@ def test_reconstruct_disconnected_graphs():
 
 
 def test_reconstruction_caches_nothing_on_the_callers_graph():
-    # a connected graph is searched through a copy; its implication classes
-    # are cached there, never on the graph the caller passed in
+    # a connected graph is searched through a copy, and a disconnected one
+    # through re-indexed component masks; implication classes are cached
+    # there, so the graph the caller passed in keeps only its two fields
     hexagon = comparability_graph(cx(3, (1, 2), (1, 3), (2, 3)))
     two = comparability_graph(cx(4, (1, 2), (3, 4)))
-    k4 = LabeledGraph(4, tuple(combinations(range(4), 2)))
+    k4 = helpers.graph(4, tuple(combinations(range(4), 2)))
     for g, components, status in [(hexagon, 1, STATUS_OK), (two, 2, STATUS_OK),
                                    (k4, 1, STATUS_NOT_FACE_POSET)]:
         assert len(induced_components(g.adj, (1 << g.vertex_count) - 1)) == components
         assert reconstruct_from_comparability_graph(g).status == status
-        assert "implication_classes" not in vars(g)
+        assert set(vars(g)) == {"adj", "labels"}
 
 
 def test_reconstruct_three_interleaved_components():
@@ -362,7 +363,7 @@ def test_reconstruct_three_interleaved_components():
     # isolated point 6: components come in order of least vertex, and each
     # one's sources map back to the input graph's own vertex numbers
     edges = [(0, 4), (2, 4), (1, 3), (3, 5), (5, 7), (7, 9), (8, 9), (1, 8)]
-    r = reconstruct_from_comparability_graph(LabeledGraph(10, tuple(sorted(edges))))
+    r = reconstruct_from_comparability_graph(helpers.graph(10, tuple(sorted(edges))))
     assert r.status == STATUS_OK
     assert r.orientations_tried == 2 + 2 + 1
     assert r.both_orientations_admissible
@@ -370,11 +371,11 @@ def test_reconstruct_three_interleaved_components():
     assert r.complex == cx(6, (1, 2), (3, 4), (3, 5), (4, 5), (6,))
 
 
-def p3_copies(k: int, extra: LabeledGraph = LabeledGraph(0, ())) -> LabeledGraph:
+def p3_copies(k: int, extra: LabeledGraph = helpers.graph(0, ())) -> LabeledGraph:
     """k disjoint copies of P3 (middle vertex 3i+2), then a copy of extra."""
     edges = [e for i in range(k) for e in ((3 * i, 3 * i + 2), (3 * i + 1, 3 * i + 2))]
     edges += [(3 * k + i, 3 * k + j) for i, j in extra.edges]
-    return LabeledGraph(3 * k + extra.vertex_count, tuple(sorted(edges)))
+    return helpers.graph(3 * k + extra.vertex_count, tuple(sorted(edges)))
 
 
 def test_reconstruction_over_the_ground_cap_raises_ground_set_too_large():
@@ -564,7 +565,7 @@ def test_universal_vertex_means_simplex():
 
 
 def test_single_vertex_graph_reconstructs_to_point():
-    r = reconstruct_from_comparability_graph(LabeledGraph(1, ()))
+    r = reconstruct_from_comparability_graph(helpers.graph(1, ()))
     assert r.status == STATUS_OK
     assert r.complex == cx(1, (1,))
     assert r.orientations_tried == 1
@@ -601,7 +602,7 @@ def _workload_graphs(workload: str, root: Path) -> list[LabeledGraph]:
 def _complement(g: LabeledGraph) -> LabeledGraph:
     present = set(g.edges)
     pairs = combinations(range(g.vertex_count), 2)
-    return LabeledGraph(g.vertex_count, tuple(e for e in pairs if e not in present))
+    return helpers.graph(g.vertex_count, tuple(e for e in pairs if e not in present))
 
 
 def test_reconstruction_reports_match_the_unfiltered_search(tmp_path, monkeypatch):
@@ -658,7 +659,7 @@ def test_count_refusals_never_reach_the_search(monkeypatch):
         assert r.orientations_tried == factorial(n)
         assert r.complex is None and not r.both_orientations_admissible
     # a component that no orientation fits: a 5-cycle with a twin of 0
-    c5_twin = LabeledGraph(
+    c5_twin = helpers.graph(
         6, tuple(sorted(helpers.cycle_graph(5).edges + ((0, 5), (1, 5), (4, 5))))
     )
     r = reconstruct_from_comparability_graph(c5_twin)

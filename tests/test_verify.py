@@ -14,7 +14,6 @@ from helpers import facet_sets
 from barysub import (
     EmptyInput,
     FacePoset,
-    LabeledGraph,
     UniverseTooLarge,
     are_isomorphic,
     canonical_form,
@@ -129,20 +128,20 @@ def test_graph_canonical_form_detects_relabelings():
         perm = list(range(g.vertex_count))
         rng.shuffle(perm)
         edges = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in g.edges))
-        assert graph_canonical_form(LabeledGraph(g.vertex_count, edges)) == form
+        assert graph_canonical_form(helpers.graph(g.vertex_count, edges)) == form
 
 
 def test_graph_canonical_form_regular_pairs():
     # same degree sequence, different graphs: the graph invariant ties, and
     # only the form tells them apart
     c6 = helpers.cycle_graph(6)
-    two_triangles = LabeledGraph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+    two_triangles = helpers.graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
     invariant = verify_module._graph_invariant
     assert invariant(c6) == invariant(two_triangles)
     assert graph_canonical_form(c6) != graph_canonical_form(two_triangles)
     assert not helpers.graph_brute_iso(c6, two_triangles)
     shifted = tuple(sorted(tuple(sorted(((i + 2) % 6, (j + 2) % 6))) for i, j in c6.edges))
-    assert graph_canonical_form(c6) == graph_canonical_form(LabeledGraph(6, shifted))
+    assert graph_canonical_form(c6) == graph_canonical_form(helpers.graph(6, shifted))
 
 
 def test_graph_canonical_form_against_permutation_oracle():
@@ -296,7 +295,7 @@ def test_relabeled_copy_witness_failure_is_reported(monkeypatch):
     def dropping(cx):
         g = real_graph(cx)
         if any(cx is c for c in copies):
-            return LabeledGraph(g.vertex_count, g.edges[1:], g.labels)
+            return helpers.graph(g.vertex_count, g.edges[1:], g.labels)
         return g
 
     monkeypatch.setattr(verify_module, "relabel_complex", tagging)
@@ -382,7 +381,7 @@ def test_witness_checks_agree_with_canonical_forms():
         assert graph_canonical_form(g) == graph_canonical_form(h)
         # a copy missing an edge: neither check accepts it
         if h.edges:
-            damaged = LabeledGraph(h.vertex_count, h.edges[1:], h.labels)
+            damaged = helpers.graph(h.vertex_count, h.edges[1:], h.labels)
             assert verify_module._carries_edges(g, damaged, fmap) is False
             assert graph_canonical_form(g) != graph_canonical_form(damaged)
         # a wrong face map: two faces of unequal degree swapped. The forms

@@ -34,13 +34,14 @@ _BYTE_ELEMENTS = tuple(
 
 
 def _mask_elements(mask: int) -> tuple[int, ...]:
-    # A byte is one lookup; a mask of at most 64 bits joins its eight bytes'
-    # tuples. Wider masks (graphs past 64 vertices) take one loop step per
-    # set bit. mask >= 0.
+    # A byte is one lookup; a mask of at most 64 bits joins the tuples of
+    # the bytes up to its highest set bit. Wider masks (graphs past 64
+    # vertices) take one loop step per set bit. mask >= 0.
     if mask < 256:
         return _BYTE_ELEMENTS[0][mask]
     if not mask >> 64:
-        return sum(map(list.__getitem__, _BYTE_ELEMENTS, mask.to_bytes(8, "little")), ())
+        return sum(map(list.__getitem__, _BYTE_ELEMENTS,
+                       mask.to_bytes((mask.bit_length() + 7) >> 3, "little")), ())
     out = []
     while mask:
         low = mask & -mask
@@ -88,9 +89,16 @@ def _mask_key(mask: int) -> int:
     # their symmetric difference, so its mask with all 64 bits reversed is
     # the larger. That reversal is below 2**64, so subtracting it from the
     # cardinality shifted past bit 64 keeps sizes apart in one int. to_bytes
-    # raises OverflowError past 64 bits, not misorders.
+    # raises OverflowError past 64 bits, not misorders. mask >= 0; a byte's
+    # key is one lookup.
+    if not mask >> 8:
+        return _BYTE_KEYS[mask]
     return (mask.bit_count() << 64) - int.from_bytes(
         mask.to_bytes(8, "little").translate(_REV8), "big")
+
+
+# _BYTE_KEYS[b] is _mask_key(b): byte b reversed sits in the top byte.
+_BYTE_KEYS = tuple((b.bit_count() << 64) - (_REV8[b] << 56) for b in range(256))
 
 
 @dataclass(frozen=True)

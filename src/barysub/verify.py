@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from operator import or_
 import random
 
 from .core import (
@@ -76,14 +75,25 @@ def enumerate_complexes(n: int, up_to_iso: bool = False) -> list[SimplicialCompl
     of one size the one with the larger code sorts first. The list is
     sorted by size, then by descending code.
 
-    With ``up_to_iso`` the DFS is orderly (Read, 1978): it carries the codes
-    of the family's images under all n! vertex permutations and keeps a
-    family only when no image's code exceeds its own, that is, when it is
-    the least member of its orbit. Dropping the last member of an
-    orbit-least family leaves an orbit-least family, so every orbit-least
-    family is reached through orbit-least prefixes, and each isomorphism
-    class appears once, as its least member; no canonical form is computed.
+    With ``up_to_iso`` the DFS is orderly (Read, 1978): it keeps a family
+    only when no image of it under the n! vertex permutations has a code
+    above its own, that is, when it is the least member of its orbit.
+    Dropping the last member of an orbit-least family leaves an
+    orbit-least family, so every orbit-least family is reached through
+    orbit-least prefixes, and each isomorphism class appears once, as its
+    least member; no canonical form is computed.
     Counts up to isomorphism: 1, 2, 5, 20, 180 for n = 1..5.
+
+    The n! comparisons are one big-int test. Each permutation has a lane
+    of whole bytes, at least total + 1 bits, the identity's lowest; the
+    walk carries one int whose lane p holds guard + own - image_p, with
+    the guard the lane's top bit and own and image_p the codes of the
+    family and of its p-th image. Both codes are below the guard, so no
+    lane borrows from the next, and the family is orbit-least exactly when
+    every lane keeps its guard bit (a tie keeps it too). A new member's
+    image is never already in an image family, so adding it adds its code
+    bits, and the child's lanes are the parent's plus one precomputed
+    delta. The labelled walk is the same walk with the identity lane alone.
     """
     if n < 1:
         raise EmptyInput("universe needs a nonempty ground set")
@@ -93,23 +103,30 @@ def enumerate_complexes(n: int, up_to_iso: bool = False) -> list[SimplicialCompl
     # a stable sort by size keeps each size's masks in value order
     subsets = sorted(range(1, full + 1), key=int.bit_count)
     total = len(subsets)
-    code_bit = {m: 1 << (total - 1 - r) for r, m in enumerate(subsets)}
-    # col[r][p]: the code bit of subsets[r] relabeled by the p-th permutation.
-    # The identity comes first, so a family's image codes start with its own;
-    # the labelled walk carries only that one.
+    rank = {m: r for r, m in enumerate(subsets)}
+    # whole bytes per lane: the total code bits and a guard bit.
+    # bit_lane[r] is the code bit of rank r as one lane's bytes.
+    width = (total + 8) >> 3
+    bit_lane = [(1 << (total - 1 - r)).to_bytes(width, "little") for r in range(total)]
+    # rows[p][r]: the rank of subsets[r] relabeled by the p-th permutation.
+    # The identity comes first, so its lane is the lowest.
     rows = []
     for perm in permutations(range(n)) if up_to_iso else [range(n)]:
         img = [0] * (full + 1)
         for m in range(1, full + 1):
             low = m & -m
             img[m] = img[m ^ low] | 1 << perm[low.bit_length() - 1]
-        rows.append([code_bit[img[m]] for m in subsets])
-    col = list(zip(*rows))
+        rows.append([rank[img[m]] for m in subsets])
+    n_lanes = len(rows)
+    guards = int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * n_lanes, "little")
+    delta = [int.from_bytes(bit_lane[r] * n_lanes, "little")
+             - int.from_bytes(b"".join(map(bit_lane.__getitem__, ranks)), "little")
+             for r, ranks in enumerate(zip(*rows))]
 
     families: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
-    def extend(start: int, union: int, codes: list[int]) -> None:
+    def extend(start: int, union: int, margins: int) -> None:
         if union == full:
             families.append(tuple(chosen))
         for i in range(start, total):
@@ -117,13 +134,13 @@ def enumerate_complexes(n: int, up_to_iso: bool = False) -> list[SimplicialCompl
             # a later subset is never smaller, so it can only contain a member
             if any(m & c == m for m in chosen):
                 continue
-            child = list(map(or_, codes, col[i]))
-            if max(child) == child[0]:
+            child = margins + delta[i]
+            if child & guards == guards:
                 chosen.append(c)
                 extend(i + 1, union | c, child)
                 chosen.pop()
 
-    extend(0, 0, [0] * len(rows))
+    extend(0, 0, guards)
     # The DFS visits the families of one size in lexicographic order of
     # their ranks, which is descending code order; the sort is stable.
     families.sort(key=len)
@@ -409,6 +426,7 @@ def verify_equivalences(n: int) -> VerificationReport:
                 )
     rng = random.Random(8160000 + n)
     for i, cx in enumerate(universe):
+        srs, fgs = stanley_reisner_generators(cx), facet_ideal_generators(cx)
         for _ in range(2):
             report.pair_checks += 1
             perm = list(range(1, n + 1))
@@ -419,14 +437,12 @@ def verify_equivalences(n: int) -> VerificationReport:
                 report.failures.append(
                     f"universe[{i}] relabeled by {perm}: item {item} broke"
                 )
-            srs = set(_image_masks(stanley_reisner_generators(cx), witness))
-            if srs != set(stanley_reisner_generators(copy)):
+            if set(_image_masks(srs, witness)) != set(stanley_reisner_generators(copy)):
                 report.failures.append(
                     f"universe[{i}] relabeled by {perm}: Stanley-Reisner "
                     f"generators not carried onto generators"
                 )
-            fgs = set(_image_masks(facet_ideal_generators(cx), witness))
-            if fgs != set(facet_ideal_generators(copy)):
+            if set(_image_masks(fgs, witness)) != set(facet_ideal_generators(copy)):
                 report.failures.append(
                     f"universe[{i}] relabeled by {perm}: facet generators "
                     f"not carried onto generators"

@@ -56,12 +56,32 @@ def test_mask_key_orders_by_size_then_lex():
         _mask_key(1 << 64)
 
 
+def test_mask_key_byte_table_matches_the_64_bit_formula():
+    def formula(mask):
+        rev = int(f"{mask:064b}"[::-1], 2)
+        return (mask.bit_count() << 64) - rev
+
+    # every mask of one or two bytes: the table and the first masks past it
+    for m in range(1 << 16):
+        assert _mask_key(m) == formula(m), m
+    rng = random.Random(43)
+    for _ in range(10_000):
+        m = rng.getrandbits(rng.randint(1, 64))
+        assert _mask_key(m) == formula(m), hex(m)
+    # past 64 bits and below zero the key raises, never misorders; a
+    # negative mask does not index the byte table from its end
+    for m in (1 << 64, (1 << 64) | 1, -1, -256):
+        with pytest.raises(OverflowError):
+            _mask_key(m)
+
+
 def test_mask_elements_matches_a_per_bit_oracle():
     def oracle(mask):
         return tuple(i + 1 for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1")
 
-    # every byte and the first mask past one byte: the table lookup
-    masks = list(range(257))
+    # every mask of one or two bytes: the table lookup, then the byte join
+    # over the one or two bytes a mask uses
+    masks = list(range(1 << 16))
     # sparse and denser masks (10 and 11 bits set) at every width from 11
     # to 64 bits, all through the byte join; then the edge of the join at
     # 64 bits, past which the per-bit loop takes over

@@ -92,23 +92,37 @@ def test_up_to_iso_universe_counts():
         assert len(helpers.universe(n)) == want
 
 
+def assert_orbit_least(n, reps):
+    """Each member sorts first in its orbit: no relabeling of it has a
+    lexicographically smaller (cardinality, value)-sorted mask list."""
+    keys = [sorted((m.bit_count(), m) for m in c.masks) for c in reps]
+    for perm in permutations(range(n)):
+        img = [sum(1 << perm[v] for v in range(n) if m >> v & 1) for m in range(1 << n)]
+        for c, key in zip(reps, keys):
+            assert key <= sorted((img[m].bit_count(), img[m]) for m in c.masks)
+
+
 def test_up_to_iso_universe_is_a_transversal():
     for n in (1, 2, 3, 4, 5):
         reps = helpers.universe(n)
         assert list(reps) == helpers.canonical_dedupe(n)
-        # Each member sorts first in its orbit: no relabeling of it has a
-        # lexicographically smaller (cardinality, value)-sorted mask list.
-        keys = [sorted((m.bit_count(), m) for m in c.masks) for c in reps]
-        for perm in permutations(range(n)):
-            img = [sum(1 << perm[v] for v in range(n) if m >> v & 1) for m in range(1 << n)]
-            for c, key in zip(reps, keys):
-                assert key <= sorted((img[m].bit_count(), img[m]) for m in c.masks)
+        assert_orbit_least(n, reps)
     for n in (1, 2, 3, 4):
         reps = helpers.universe(n)
         rep_forms = {canonical_form(c).sort_key for c in reps}
         assert len(rep_forms) == len(reps)
         all_forms = {canonical_form(c).sort_key for c in enumerate_complexes(n)}
         assert rep_forms == all_forms
+
+
+def test_up_to_iso_universe_at_six_vertices(monkeypatch):
+    # 720 permutation lanes of 64 bits each, the code's 63 bits and a guard
+    # bit; every member ties with its own identity image, and members with
+    # a symmetry tie in further lanes
+    monkeypatch.setattr(verify_module, "MAX_UNIVERSE_GROUND", 6)
+    reps = enumerate_complexes(6, up_to_iso=True)
+    assert len(reps) == 16_143
+    assert_orbit_least(6, random.Random(6).sample(reps, 50))
 
 
 def test_enumerate_bounds():

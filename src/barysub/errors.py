@@ -23,7 +23,7 @@ class SkeletonIndexOutOfRange(BarysubError):
 
 
 class NotTransitive(BarysubError):
-    """Orientation is not transitively closed."""
+    """An orientation is not transitively closed."""
 
 
 class NotAFacePoset(BarysubError):

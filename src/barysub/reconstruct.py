@@ -15,10 +15,11 @@ proper faces form a simplex boundary.
 Graphs and posets live on int bit masks. A graph is its adjacency masks
 (``LabeledGraph.adj``); it splits into components by OR-ing them, each
 component's subgraph is its vertices' masks re-indexed, with no edge list
-built, and the orientation search returns each order as a ``FacePoset``
-(one up-set mask per element), so the source-set images and the
-face-family check are word operations on Python integers, with no cap on
-the element count.
+built. An orientation and the order it reads as are one tuple of
+out-masks, ``up[v]`` holding the elements above v, so the orientation
+search hands each one to the face-poset check as it is, and the
+source-set images and the face-family check are word operations on
+Python integers, with no cap on the element count.
 
 A connected face-poset graph has exactly 1, 2 or 4 transitive
 orientations: 1 for a point, 4 for a simplex on three or more vertices and
@@ -80,9 +81,7 @@ from .core import (
 )
 from .errors import EmptyInput, GroundSetTooLarge, NotAFacePoset, NotTransitive
 from .graphs import (
-    FacePoset,
     LabeledGraph,
-    Orientation,
     _maximal_cliques,
     count_transitive_orientations,
     one_skeleton_graph,
@@ -95,29 +94,38 @@ STATUS_NOT_FACE_POSET = "not_face_poset"
 STATUS_NOT_FLAG = "not_flag"
 
 
-def poset_from_orientation(g: LabeledGraph, o: Orientation) -> FacePoset:
-    """Read an orientation as a strict order; raises NotTransitive if it is not one.
+def poset_from_orientation(g: LabeledGraph, up: tuple[int, ...]) -> tuple[int, ...]:
+    """Check that out-masks ``up`` orient g transitively, and return them.
 
-    The order is transitive exactly when ``up[b]`` lies in ``up[a]`` for every
-    arc a->b. That also rules out directed cycles: around one, the first
-    vertex would end up above itself. Raises ValueError unless ``o`` directs
-    exactly the edges of ``g``.
+    ``up[v]`` holds the heads of the arcs leaving v. Raises ValueError
+    unless every edge of g is directed exactly once and no non-edge is,
+    and NotTransitive unless ``up[h]`` lies in ``up[t]`` for every arc
+    t->h. That also rules out directed cycles: around one, the first vertex
+    would end up above itself.
     """
-    if o.edges != g.edges:
+    adj = g.adj
+    if len(up) != len(adj) or any(m & ~a for m, a in zip(up, adj)):
         raise ValueError("orientation does not direct the graph's edges")
-    arcs = o.arcs()
-    p = FacePoset.from_relation(range(g.vertex_count), arcs)
-    for tail, head in arcs:
-        missing = p.up[head] & ~p.up[tail]
-        if missing:
-            c = (missing & -missing).bit_length() - 1
-            raise NotTransitive(f"{tail}->{head}->{c} without {tail}->{c}")
-    return p
+    down = [0] * len(up)
+    for t, m in enumerate(up):
+        for h in _mask_elements(m):
+            down[h - 1] |= 1 << t
+    if any(m & d or m | d != a for m, d, a in zip(up, down, adj)):
+        raise ValueError("orientation does not direct the graph's edges")
+    for t, m in enumerate(up):
+        for h in _mask_elements(m):
+            missing = up[h - 1] & ~m
+            if missing:
+                c = (missing & -missing).bit_length() - 1
+                raise NotTransitive(f"{t}->{h - 1}->{c} without {t}->{c}")
+    return up
 
 
-def complex_from_face_poset(p: FacePoset) -> tuple[SimplicialComplex, tuple[int, ...]]:
-    """Rebuild the complex whose face poset is p, or raise NotAFacePoset.
+def complex_from_face_poset(up: tuple[int, ...]) -> tuple[SimplicialComplex, tuple[int, ...]]:
+    """Rebuild the complex whose face poset has up-sets ``up``, or raise NotAFacePoset.
 
+    ``up[k]`` is the mask of the elements above element k; a mask with a
+    bit at or past the element count, or a negative one, raises ValueError.
     Sources become the ground vertices, numbered 1.. in ascending element
     order; every element maps to the bit mask of sources at or below it.
     The map must be injective and must turn the order into inclusion, which
@@ -129,13 +137,14 @@ def complex_from_face_poset(p: FacePoset) -> tuple[SimplicialComplex, tuple[int,
     sources) of them. Once they pass, the complex is built, and a face poset
     with more than 64 sources raises GroundSetTooLarge there: it is a face
     poset, of a complex over the ground cap. Returns the complex and the
-    source tuple.
+    sources' element indices.
     """
-    up = p.up
     n = len(up)
     heads = 0
     for m in up:
         heads |= m
+    if heads < 0 or heads >> n:
+        raise ValueError(f"up masks must be nonnegative with no bit at or past {n}")
     src = [k for k in range(n) if not (heads >> k) & 1]
     if not src:
         raise NotAFacePoset("poset has no minimal elements")
@@ -171,7 +180,7 @@ def complex_from_face_poset(p: FacePoset) -> tuple[SimplicialComplex, tuple[int,
     if len(src) > MAX_GROUND:
         raise GroundSetTooLarge(f"face poset has {len(src)} minimal elements, cap is {MAX_GROUND}")
     cx = _antichain_complex(len(src), [image[t] for t in sinks])
-    return cx, tuple(p.elements[s] for s in src)
+    return cx, tuple(src)
 
 
 @dataclass(frozen=True)
@@ -249,12 +258,12 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
             tried += count_transitive_orientations(sub)
             status = STATUS_NOT_ORIENTABLE if classes is None else STATUS_NOT_FACE_POSET
             break
-        posets = transitive_orientations(sub)
-        tried += len(posets)
+        ups = transitive_orientations(sub)
+        tried += len(ups)
         successes: list[tuple[SimplicialComplex, tuple[int, ...]]] = []
-        for poset in posets:
+        for up in ups:
             try:
-                cx, sources = complex_from_face_poset(poset)
+                cx, sources = complex_from_face_poset(up)
             except NotAFacePoset:
                 continue
             successes.append((cx, tuple(verts[s] for s in sources)))

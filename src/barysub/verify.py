@@ -123,24 +123,27 @@ def enumerate_complexes(n: int, up_to_iso: bool = False) -> list[SimplicialCompl
              - int.from_bytes(b"".join(map(bit_lane.__getitem__, ranks)), "little")
              for r, ranks in enumerate(zip(*rows))]
 
+    # above[r]: the ranks of the subsets that contain subsets[r]
+    above = [sum(1 << q for q, c in enumerate(subsets) if c & m == m) for m in subsets]
     families: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
-    def extend(start: int, union: int, margins: int) -> None:
+    def extend(start: int, union: int, margins: int, taken: int) -> None:
         if union == full:
             families.append(tuple(chosen))
         for i in range(start, total):
-            c = subsets[i]
-            # a later subset is never smaller, so it can only contain a member
-            if any(m & c == m for m in chosen):
+            # a later subset is never smaller, so it can only contain a
+            # member: taken holds the ranks of the members' supersets
+            if taken >> i & 1:
                 continue
             child = margins + delta[i]
             if child & guards == guards:
+                c = subsets[i]
                 chosen.append(c)
-                extend(i + 1, union | c, child)
+                extend(i + 1, union | c, child, taken | above[i])
                 chosen.pop()
 
-    extend(0, 0, guards)
+    extend(0, 0, guards, 0)
     # The DFS visits the families of one size in lexicographic order of
     # their ranks, which is descending code order; the sort is stable.
     families.sort(key=len)

@@ -16,11 +16,9 @@ from barysub import (
     STATUS_NOT_ORIENTABLE,
     STATUS_OK,
     EmptyInput,
-    FacePoset,
     GroundSetTooLarge,
     LabeledGraph,
     NotAFacePoset,
-    Orientation,
     ReconstructionReport,
     SimplicialComplex,
     canonical_form,
@@ -340,36 +338,44 @@ def brute_is_transitively_orientable(g: LabeledGraph) -> bool:
     return place(0)
 
 
-def relation(p: FacePoset) -> set[tuple[int, int]]:
-    """The pairs (a, b) with a below b, read from ``p.up`` one bit at a time."""
-    els = p.elements
-    return {
-        (a, els[j]) for a, m in zip(els, p.up) for j in range(len(els)) if m >> j & 1
-    }
+def poset(n: int, pairs) -> tuple[int, ...]:
+    """The out-masks on the elements 0..n-1 whose pairs (a, b) mean a below b,
+    or, read as an orientation, the arcs a -> b."""
+    up = [0] * n
+    for a, b in pairs:
+        up[a] |= 1 << b
+    return tuple(up)
 
 
-def reversed_poset(p: FacePoset) -> FacePoset:
+def relation(up: tuple[int, ...]) -> set[tuple[int, int]]:
+    """The pairs (a, b) with a below b, read from ``up`` one bit at a time."""
+    n = len(up)
+    return {(a, b) for a, m in enumerate(up) for b in range(n) if m >> b & 1}
+
+
+def reversed_poset(up: tuple[int, ...]) -> tuple[int, ...]:
     """The same elements with every pair of the relation turned around."""
-    return FacePoset.from_relation(p.elements, {(b, a) for a, b in relation(p)})
+    return poset(len(up), {(b, a) for a, b in relation(up)})
 
 
-def as_orientation(g: LabeledGraph, p: FacePoset) -> Orientation:
-    """The orientation of g's edges that the poset p on g's vertices gives.
+def as_orientation(g: LabeledGraph, up: tuple[int, ...]) -> tuple[int, ...]:
+    """The head of each edge of ``g.edges`` under the out-masks ``up``.
 
-    Reads each edge's direction from ``relation(p)``; asserts that every edge
-    is related in exactly one direction and that no pair lies off the edges.
+    Reads each edge's direction from ``relation(up)``; asserts that every
+    edge is related in exactly one direction and that no pair lies off the
+    edges.
     """
-    assert p.elements == tuple(range(g.vertex_count)), (g, p)
-    rel = relation(p)
+    assert len(up) == g.vertex_count, (g, up)
+    rel = relation(up)
     heads = []
     for i, j in g.edges:
-        assert ((i, j) in rel) != ((j, i) in rel), (g, p, (i, j))
+        assert ((i, j) in rel) != ((j, i) in rel), (g, up, (i, j))
         heads.append(j if (i, j) in rel else i)
-    assert len(rel) == len(g.edges), (g, p)
-    return Orientation(g.edges, tuple(heads))
+    assert len(rel) == len(heads), (g, up)
+    return tuple(heads)
 
 
-def brute_complex_from_face_poset(p: FacePoset):
+def brute_complex_from_face_poset(up: tuple[int, ...]):
     """Face-poset check by pairwise order tests and full face enumeration.
 
     Same contract and messages as ``complex_from_face_poset``: maps every
@@ -380,13 +386,14 @@ def brute_complex_from_face_poset(p: FacePoset):
     GroundSetTooLarge. The enumeration is exponential in the facet sizes;
     small facets only.
     """
-    rel = relation(p)
-    sources = tuple(v for v in p.elements if not any(b == v for _, b in rel))
+    rel = relation(up)
+    elements = range(len(up))
+    sources = tuple(v for v in elements if not any(b == v for _, b in rel))
     if not sources:
         raise NotAFacePoset("poset has no minimal elements")
     src_bit = {s: 1 << i for i, s in enumerate(sources)}
     down: dict[int, int] = {}
-    for v in p.elements:
+    for v in elements:
         m = 0
         for s in sources:
             if s == v or (s, v) in rel:
@@ -401,7 +408,7 @@ def brute_complex_from_face_poset(p: FacePoset):
                 continue
             if (down[a] & ~down[b] == 0) != ((a, b) in rel):
                 raise NotAFacePoset("order does not match down-set inclusion")
-    tops = {down[v] for v in p.elements if not any(a == v for a, _ in rel)}
+    tops = {down[v] for v in elements if not any(a == v for a, _ in rel)}
     if any(a != b and a & ~b == 0 for a in tops for b in tops):
         raise NotAFacePoset("maximal down-sets are not an antichain")
     faces = set()
@@ -617,15 +624,15 @@ def unfiltered_reconstruct(g: LabeledGraph) -> ReconstructionReport:
             len(verts),
             tuple((index[i], index[j]) for i, j in g.edges if (comp >> i) & 1),
         )
-        posets = transitive_orientations(sub)
-        tried += len(posets)
-        if not posets:
+        ups = transitive_orientations(sub)
+        tried += len(ups)
+        if not ups:
             status = STATUS_NOT_ORIENTABLE
             break
         successes = []
-        for poset in posets:
+        for up in ups:
             try:
-                rebuilt, sources = complex_from_face_poset(poset)
+                rebuilt, sources = complex_from_face_poset(up)
             except NotAFacePoset:
                 continue
             successes.append((rebuilt, tuple(verts[s] for s in sources)))

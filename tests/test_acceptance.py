@@ -104,7 +104,7 @@ def test_criterion_4_hexagon_reconstruction(capsys):
         orientations = transitive_orientations(hexagon)
         assert len(orientations) == 2
         for p in orientations:
-            assert poset_from_orientation(hexagon, helpers.as_orientation(hexagon, p)) == p
+            assert poset_from_orientation(hexagon, p) == p
         rebuilt = [complex_from_face_poset(p)[0] for p in orientations]
         assert are_isomorphic(rebuilt[0], rebuilt[1])
         assert report.both_orientations_admissible

@@ -18,12 +18,10 @@ from barysub import jsonio
 from barysub.core import induced_components
 from barysub import (
     EmptyInput,
-    FacePoset,
     GroundSetTooLarge,
     LabeledGraph,
     NotAFacePoset,
     NotTransitive,
-    Orientation,
     STATUS_NOT_FACE_POSET,
     STATUS_NOT_FLAG,
     STATUS_NOT_ORIENTABLE,
@@ -50,15 +48,14 @@ P3 = helpers.graph(3, ((0, 1), (1, 2)))
 
 
 def test_poset_from_path_orientation():
-    o = Orientation(P3.edges, (1, 1))  # a -> c <- b with c = vertex 1
-    p = poset_from_orientation(P3, o)
-    assert helpers.relation(p) == {(0, 1), (2, 1)}
+    up = helpers.poset(3, {(0, 1), (2, 1)})  # a -> c <- b with c = vertex 1
+    assert poset_from_orientation(P3, up) == up == (0b010, 0, 0b010)
 
 
 def test_poset_from_hexagon_orientation():
     hexa = helpers.cycle_graph(6)
     for p in transitive_orientations(hexa):
-        assert poset_from_orientation(hexa, helpers.as_orientation(hexa, p)) == p
+        assert poset_from_orientation(hexa, p) == p
         # alternating: the relation is exactly the arc set, nothing forced,
         # and three sources lie below three sinks
         rel = helpers.relation(p)
@@ -69,31 +66,57 @@ def test_poset_from_hexagon_orientation():
 
 
 def test_poset_single_vertex():
-    g = helpers.graph(1, ())
-    p = poset_from_orientation(g, Orientation((), ()))
-    assert p.elements == (0,) and p.up == (0,)
+    assert poset_from_orientation(helpers.graph(1, ()), (0,)) == (0,)
 
 
 def test_poset_rejects_nontransitive_orientation():
-    chain = Orientation(P3.edges, (1, 2))  # 0 -> 1 -> 2 but no 0-2 edge
-    with pytest.raises(NotTransitive):
+    chain = helpers.poset(3, {(0, 1), (1, 2)})  # 0 -> 1 -> 2 but no 0-2 edge
+    with pytest.raises(NotTransitive, match="0->1->2 without 0->2"):
         poset_from_orientation(P3, chain)
-    cyclic = Orientation(helpers.cycle_graph(3).edges, (1, 0, 2))
+    cyclic = helpers.poset(3, {(0, 1), (2, 0), (1, 2)})
     with pytest.raises(NotTransitive):
         poset_from_orientation(helpers.cycle_graph(3), cyclic)
 
 
 def test_poset_rejects_an_orientation_of_other_edges():
-    k3 = helpers.cycle_graph(3)
-    with pytest.raises(ValueError, match="does not direct the graph's edges"):
-        poset_from_orientation(k3, Orientation(((0, 1),), (1,)))  # one arc of three
-    with pytest.raises(ValueError, match="does not direct the graph's edges"):
-        poset_from_orientation(k3, Orientation(((0, 1), (0, 2), (1, 5)), (1, 2, 5)))
+    bad = [
+        (0b010, 0),  # one mask short
+        (0b110, 0, 0b010),  # 0 -> 2 is not an edge
+        (0b010, 0b001, 0b010),  # 0 -> 1 and 1 -> 0
+        (0b010, 0, 0),  # the edge 1-2 is not directed
+        (0b1010, 0, 0b010),  # bit 3 on 3 vertices
+        (-1, 0, 0),
+    ]
+    for up in bad:
+        with pytest.raises(ValueError, match="does not direct the graph's edges"):
+            poset_from_orientation(P3, up)
+
+
+def test_poset_from_orientation_accepts_exactly_the_transitive_orientations():
+    # every orientation of every labelled graph on at most 5 vertices:
+    # 3^10 of them at 5 vertices
+    for n in range(6):
+        for g in helpers.labelled_graphs(n):
+            edges = g.edges
+            transitive = set(helpers.brute_transitive_orientations(g))
+            for bits in range(1 << len(edges)):
+                # bit k set: edge k points from its smaller to its larger end
+                heads = tuple(e[bits >> k & 1] for k, e in enumerate(edges))
+                up = [0] * n
+                for (i, j), h in zip(edges, heads):
+                    up[i + j - h] |= 1 << h
+                up = tuple(up)
+                try:
+                    assert poset_from_orientation(g, up) == up
+                except NotTransitive:
+                    assert heads not in transitive, (g, heads)
+                else:
+                    assert heads in transitive, (g, heads)
 
 
 def test_complex_from_path_poset_is_an_edge():
-    o = Orientation(P3.edges, (1, 1))
-    c, sources = complex_from_face_poset(poset_from_orientation(P3, o))
+    up = helpers.poset(3, {(0, 1), (2, 1)})
+    c, sources = complex_from_face_poset(poset_from_orientation(P3, up))
     assert c == cx(2, (1, 2))
     assert sources == (0, 2)
 
@@ -101,34 +124,40 @@ def test_complex_from_path_poset_is_an_edge():
 def test_complex_from_face_poset_failure_modes():
     # a chain a < b < c collapses a and b onto the same source set
     k3 = helpers.cycle_graph(3)
-    chain = Orientation(k3.edges, (1, 2, 2))
+    chain = helpers.poset(3, {(0, 1), (0, 2), (1, 2)})
     with pytest.raises(NotAFacePoset, match="injective"):
         complex_from_face_poset(poset_from_orientation(k3, chain))
     # C4 oriented with both sinks above both sources: sinks collide
     c4 = helpers.cycle_graph(4)
     for p in transitive_orientations(c4):
-        assert poset_from_orientation(c4, helpers.as_orientation(c4, p)) == p
+        assert poset_from_orientation(c4, p) == p
         with pytest.raises(NotAFacePoset, match="injective"):
             complex_from_face_poset(p)
     # the star K_{1,3} with a universal sink misses the pair faces
     star = helpers.graph(4, ((0, 3), (1, 3), (2, 3)))
-    up = Orientation(star.edges, (3, 3, 3))
+    up = helpers.poset(4, {(0, 3), (1, 3), (2, 3)})
     with pytest.raises(NotAFacePoset, match="face family"):
         complex_from_face_poset(poset_from_orientation(star, up))
     # order/inclusion mismatch: {0,1} below {0,1,2} without the relation pair
     g5 = helpers.graph(5, ((0, 3), (0, 4), (1, 3), (1, 4), (2, 4)))
-    o5 = Orientation(g5.edges, (3, 4, 3, 4, 4))
+    o5 = helpers.poset(5, {(0, 3), (0, 4), (1, 3), (1, 4), (2, 4)})
     with pytest.raises(NotAFacePoset, match="inclusion"):
         complex_from_face_poset(poset_from_orientation(g5, o5))
     # two sinks whose images nest, {0,1} inside {0,1,2}: the order check
     # catches them, so the sink images need no separate antichain test
-    nested = FacePoset.from_relation(range(5), {(0, 3), (1, 3), (0, 4), (1, 4), (2, 4)})
+    nested = helpers.poset(5, {(0, 3), (1, 3), (0, 4), (1, 4), (2, 4)})
     with pytest.raises(NotAFacePoset, match="order does not match down-set inclusion"):
         complex_from_face_poset(nested)
     # degenerate relation with no minimal elements (built by hand)
-    bad = FacePoset.from_relation((0, 1), frozenset({(0, 1), (1, 0)}))
+    bad = helpers.poset(2, {(0, 1), (1, 0)})
     with pytest.raises(NotAFacePoset, match="minimal"):
         complex_from_face_poset(bad)
+
+
+def test_complex_from_face_poset_rejects_masks_off_the_elements():
+    for up in [(0b100,), (0, 0b100), (0b10, -1), (-2, 0)]:
+        with pytest.raises(ValueError, match=f"nonnegative with no bit at or past {len(up)}$"):
+            complex_from_face_poset(up)
 
 
 def _face_poset_outcome(check, p):
@@ -149,35 +178,35 @@ def test_face_poset_check_matches_brute_force_on_orientations():
     for c in helpers.universe_through(4):
         g = comparability_graph(c)
         for p in transitive_orientations(g):
-            assert poset_from_orientation(g, helpers.as_orientation(g, p)) == p
+            assert poset_from_orientation(g, p) == p
             _assert_face_poset_check_matches_brute_force(p)
     rng = random.Random(131)
     for _ in range(300):
         g = helpers.random_graph(rng, rng.randint(1, 6), rng.random())
         for p in transitive_orientations(g):
-            assert poset_from_orientation(g, helpers.as_orientation(g, p)) == p
+            assert poset_from_orientation(g, p) == p
             _assert_face_poset_check_matches_brute_force(p)
 
 
 def test_face_poset_check_matches_brute_force_on_hand_built_posets():
     cases = [
-        FacePoset.from_relation((0, 1), frozenset({(0, 1), (1, 0)})),  # cyclic
-        FacePoset.from_relation((0,), frozenset({(0, 0)})),
-        FacePoset.from_relation((5, 2, 9), frozenset()),  # three isolated points
-        FacePoset.from_relation((7, 3, 4), frozenset({(7, 4), (3, 4)})),  # an edge
+        helpers.poset(2, {(0, 1), (1, 0)}),  # cyclic
+        helpers.poset(1, {(0, 0)}),
+        helpers.poset(3, ()),  # three isolated points
+        helpers.poset(3, {(0, 2), (1, 2)}),  # an edge
         # an edge whose top carries a self-loop, so it is not a sink
-        FacePoset.from_relation((0, 1, 2), frozenset({(0, 2), (1, 2), (2, 2)})),
+        helpers.poset(3, {(0, 2), (1, 2), (2, 2)}),
     ]
     # random relations: not necessarily transitive, acyclic or irreflexive
     rng = random.Random(137)
     for _ in range(3000):
-        labels = rng.sample(range(20), rng.randint(1, 6))
+        n = rng.randint(1, 6)
         density = rng.random() / 2
         rel = frozenset(
-            (a, b) for a in labels for b in labels
+            (a, b) for a in range(n) for b in range(n)
             if rng.random() < density and (a != b or rng.random() < 0.2)
         )
-        p = FacePoset.from_relation(tuple(labels), rel)
+        p = helpers.poset(n, rel)
         assert helpers.relation(p) == rel
         cases.append(p)
     outcomes = set()
@@ -389,11 +418,10 @@ def test_reconstruction_over_the_ground_cap_raises_ground_set_too_large():
         assert r.status == status and r.complex is None
 
 
-def path_face_poset(n: int) -> FacePoset:
+def path_face_poset(n: int) -> tuple[int, ...]:
     """The face poset of the path on n vertices: element i < n is vertex i,
     and element n + i the edge joining vertices i and i + 1."""
-    rel = {(i + d, n + i) for i in range(n - 1) for d in (0, 1)}
-    return FacePoset.from_relation(range(2 * n - 1), rel)
+    return helpers.poset(2 * n - 1, {(i + d, n + i) for i in range(n - 1) for d in (0, 1)})
 
 
 def test_face_poset_over_the_ground_cap_passes_its_checks_then_raises():
@@ -404,9 +432,9 @@ def test_face_poset_over_the_ground_cap_passes_its_checks_then_raises():
         with pytest.raises(GroundSetTooLarge, match="65 minimal elements, cap is 64"):
             check(path_face_poset(65))
         with pytest.raises(GroundSetTooLarge, match="65 minimal elements, cap is 64"):
-            check(FacePoset.from_relation(range(65), ()))
+            check((0,) * 65)
     # one element above 65 sources: no image is one source short of it
-    above = FacePoset.from_relation(range(66), {(i, 65) for i in range(65)})
+    above = helpers.poset(66, {(i, 65) for i in range(65)})
     with pytest.raises(NotAFacePoset, match="full face family"):
         complex_from_face_poset(above)
     # the face-poset graph of the path on n vertices is the path on 2n - 1
@@ -484,9 +512,9 @@ def test_flag_complexes_that_are_not_skeletons():
     assert r.status == STATUS_NOT_FACE_POSET
 
 
-def _reversed_inclusion(g: LabeledGraph) -> FacePoset:
+def _reversed_inclusion(g: LabeledGraph) -> tuple[int, ...]:
     """The face order on g's labels, reversed: larger faces below smaller."""
-    return FacePoset.from_relation(range(g.vertex_count), {
+    return helpers.poset(g.vertex_count, {
         (j, i) for i, a in enumerate(g.labels) for j, b in enumerate(g.labels)
         if a != b and a & ~b == 0
     })

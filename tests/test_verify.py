@@ -13,7 +13,6 @@ from helpers import facet_sets
 
 from barysub import (
     EmptyInput,
-    FacePoset,
     UniverseTooLarge,
     are_isomorphic,
     canonical_form,
@@ -382,7 +381,7 @@ def test_witness_checks_agree_with_canonical_forms():
         assert all(g.labels[v].bit_count() == 1 for v in rec.source_map)
         if len(induced_components(g.adj, (1 << g.vertex_count) - 1)) == 1:
             connected += 1
-            inclusion = FacePoset.from_relation(range(g.vertex_count), {
+            inclusion = helpers.poset(g.vertex_count, {
                 (i, j) for i, a in enumerate(g.labels) for j, b in enumerate(g.labels)
                 if a != b and a & ~b == 0
             })

@@ -29,8 +29,8 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__, jsonio
 from .core import are_isomorphic
@@ -50,9 +50,6 @@ from .reconstruct import (
     reconstruct_from_subdivision,
 )
 from .verify import verify_theorems
-
-if TYPE_CHECKING:
-    import argparse
 
 
 def _read_json(path: str):
@@ -126,11 +123,11 @@ def _verify(args) -> tuple[str, int]:
     return _json(jsonio.verification_report_to_obj(rep), not rep.failures)
 
 
-class Command(NamedTuple):
-    help: str
-    inputs: tuple[tuple[str, str, Callable], ...]  # (positional name, help, reader)
-    run: Callable[..., tuple[str, int]]  # (args, *read inputs) -> (output text, exit code)
-    options: tuple[tuple[tuple[str, ...], dict], ...] = ()  # after -o, if there are inputs
+# One CLI command: its help text; its inputs, each a (positional name, help,
+# reader) triple; run, which maps (args, *read inputs) to (output text, exit
+# code); and its options, each (flags, argparse keywords), which follow -o
+# when the command has inputs.
+Command = namedtuple("Command", "help inputs run options", defaults=((),))
 
 
 def _opt(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:

@@ -32,3 +32,7 @@ class NotAFacePoset(BarysubError):
 
 class UniverseTooLarge(BarysubError):
     """Exhaustive enumeration requested beyond the supported size."""
+
+
+class SearchBudgetExceeded(BarysubError):
+    """An exponential listing would exceed its documented budget."""

@@ -27,34 +27,33 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass
 from operator import or_
 
-from .core import (MAX_GROUND, SimplicialComplex, _antichain_complex, _mask_elements,
+from .core import (MAX_GROUND, SimplicialComplex, _antichain_complex, _mask_elements, _Record,
                    _skeleton_adjacency)
 from .errors import EmptyInput, GroundSetTooLarge, VoidComplex
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(_Record):
     """An undirected graph as neighbour masks, optionally with face-mask labels.
 
     ``adj[v]`` has bit u set when u and v are adjacent. The masks must be
     symmetric; the constructor checks only what costs O(vertices): no bit
     at or past the vertex count, no vertex adjacent to itself, and one
-    label per vertex.
+    label per vertex. A graph keeps its fields in ``__dict__``, where
+    ``implication_classes`` caches itself.
     """
 
-    adj: tuple[int, ...]
-    labels: tuple[int, ...] | None = None
+    _fields = ("adj", "labels")
 
-    def __post_init__(self):
-        n = len(self.adj)
-        for v, a in enumerate(self.adj):
+    def __init__(self, adj: tuple[int, ...], labels: tuple[int, ...] | None = None):
+        n = len(adj)
+        for v, a in enumerate(adj):
             if a >> n or a >> v & 1:
                 raise ValueError(f"neighbour mask of vertex {v} invalid for {n} vertices")
-        if self.labels is not None and len(self.labels) != n:
+        if labels is not None and len(labels) != n:
             raise ValueError("one label per vertex required")
+        self._store(adj, labels)
 
     @property
     def vertex_count(self) -> int:

@@ -68,14 +68,12 @@ and ``transitive_orientations`` emits each one with no triangle test.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
-
 from .core import (
     MAX_GROUND,
     SimplicialComplex,
     _antichain_complex,
     _mask_elements,
+    _Record,
     canonical_form,
     induced_components,
 )
@@ -183,8 +181,7 @@ def complex_from_face_poset(up: tuple[int, ...]) -> tuple[SimplicialComplex, tup
     return cx, tuple(src)
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
+class ReconstructionReport(_Record):
     """Outcome of a reconstruction attempt.
 
     ``status`` is "ok", "not_orientable", "not_face_poset" or "not_flag";
@@ -200,11 +197,12 @@ class ReconstructionReport:
     vertex i.
     """
 
-    status: str
-    complex: SimplicialComplex | None
-    orientations_tried: int
-    both_orientations_admissible: bool
-    source_map: tuple[int, ...] | None = None
+    __slots__ = _fields = ("status", "complex", "orientations_tried",
+                           "both_orientations_admissible", "source_map")
+
+    def __init__(self, status: str, complex: SimplicialComplex | None, orientations_tried: int,
+                 both_orientations_admissible: bool, source_map: tuple[int, ...] | None = None):
+        self._store(status, complex, orientations_tried, both_orientations_admissible, source_map)
 
 
 def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionReport:
@@ -213,8 +211,8 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     Works per connected component: enumerate transitive orientations, keep
     those whose poset is a face poset, and take the disjoint union of the
     first survivor of each component. A connected graph is searched as
-    given, through a shallow copy that shares its adjacency masks and caches
-    its implication classes on itself, not on g; a disconnected graph is
+    given, through a new graph on its adjacency masks that caches its
+    implication classes on itself, not on g; a disconnected graph is
     searched one induced subgraph per component, built from its re-indexed
     masks. A component whose implication classes are None or more than two
     has no orientation or more than four, so none can survive: it is refused
@@ -240,10 +238,10 @@ def reconstruct_from_comparability_graph(g: LabeledGraph) -> ReconstructionRepor
     everyone = (1 << g.vertex_count) - 1
     for comp in induced_components(adj, everyone):
         if comp == everyone:
-            # the copy shares g's adjacency masks; the classes it caches stay
-            # on the copy
+            # the new graph shares g's adjacency masks; the classes it
+            # caches stay on it
             verts = range(g.vertex_count)
-            sub = copy.copy(g)
+            sub = LabeledGraph(adj)
         else:
             # a component is closed under edges: its subgraph is each of its
             # vertices' neighbour masks, re-indexed onto the component

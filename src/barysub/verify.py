@@ -21,7 +21,6 @@ object's invariant ties.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
 import random
 
@@ -31,6 +30,7 @@ from .core import (
     _image_masks,
     _initial_colors,
     _mask_elements,
+    _Record,
     canonical_form,
     relabel_complex,
 )
@@ -50,18 +50,26 @@ RIGIDITY_MAX_VERTICES = 5
 EQUIVALENCE_MAX_VERTICES = 4
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Counts and counterexample log of one verification run.
 
     ``failures`` empty means every checked biconditional held; ``notes``
-    documents method substitutions and skipped checks.
+    documents method substitutions and skipped checks. Unlike the other
+    records, a report is filled in as a harness runs: it takes assignment
+    and has no hash, and each report gets its own new lists.
     """
 
-    universe_size: int
-    pair_checks: int
-    failures: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = _fields = ("universe_size", "pair_checks", "failures", "notes")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, universe_size: int, pair_checks: int, failures: list[str] | None = None,
+                 notes: list[str] | None = None):
+        self.universe_size = universe_size
+        self.pair_checks = pair_checks
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
 
 
 def enumerate_complexes(n: int, up_to_iso: bool = False) -> list[SimplicialComplex]:
@@ -182,8 +190,8 @@ def _iso_keys(objs: list, invariant, form) -> tuple[list, int]:
     canonical forms computed for them.
 
     An object's key is ``(invariant,)`` when no other object in ``objs``
-    shares its invariant, else ``(invariant, form(obj))``: forms are frozen
-    dataclasses, equal exactly when the objects are isomorphic. The two
+    shares its invariant, else ``(invariant, form(obj))``: forms are
+    immutable records, equal exactly when the objects are isomorphic. The two
     shapes never compare equal. A None object keeps the key None.
     """
     invariants = [None if o is None else invariant(o) for o in objs]

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,23 @@ def test_skeleton(capsys):
     code, _, err = run(capsys, "skeleton", "-i", "5", str(COMPLEXES / "simplex4.json"))
     assert code == 2
     assert json.loads(err)["error"] == "SkeletonIndexOutOfRange"
+
+
+def test_skeleton_over_its_budget_exits_2(capsys, tmp_path):
+    src = tmp_path / "simplex64.json"
+    src.write_text(json.dumps({"ground_set": 64, "facets": [list(range(1, 65))]}))
+    code, out, _ = run(capsys, "skeleton", "-i", "2", str(src))
+    assert code == 0
+    assert out == json.dumps({"ground_set": 64,
+                              "facets": [list(f) for f in combinations(range(1, 65), 3)]}) + "\n"
+    for i in (3, 4, 5):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "skeleton", "-i", str(i), str(src))
+        assert code == 2 and out == "" and time.perf_counter() - start < 1
+        assert json.loads(err) == {
+            "error": "SearchBudgetExceeded",
+            "message": f"{i}-skeleton lists {math.comb(64, i + 1)} faces, over the budget of 100000",
+        }
 
 
 def test_nonfaces_and_generators(capsys):
@@ -572,6 +590,19 @@ def test_a_plain_run_never_imports_argparse(tmp_path):
     done = subprocess.run([sys.executable, "-S", "-c", probe, str(COMPLEXES / "edge.json"), str(out)],
                           env=env, capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout == "0 False 0\n" and out.read_text() == "1\n"
+
+
+def test_importing_the_cli_loads_no_record_machinery():
+    # -S: no site hook loads anything first, so every module the import
+    # needs shows up in the difference
+    probe = "import sys; before = set(sys.modules); import barysub.cli; print(*set(sys.modules) - before)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    added = set(done.stdout.split())
+    assert "barysub.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "typing"}
 
 
 # Tokens the plain argv reader must leave to argparse: help, version,

@@ -1,6 +1,7 @@
 """Core complex type, face queries, nonfaces, skeleta, canonical forms."""
 
 import hashlib
+import math
 import random
 import time
 import tracemalloc
@@ -15,6 +16,7 @@ from barysub import (
     CanonicalForm,
     EmptyInput,
     GroundSetTooLarge,
+    SearchBudgetExceeded,
     SkeletonIndexOutOfRange,
     SimplicialComplex,
     are_isomorphic,
@@ -25,7 +27,8 @@ from barysub import (
     relabel_complex,
     void_complex,
 )
-from barysub.core import _canonical, _mask_elements, _mask_key, induced_components
+from barysub.core import (SKELETON_BUDGET, _canonical, _mask_elements, _mask_key,
+                          induced_components)
 from barysub.derived import alexander_dual, barycentric_subdivision, complement_complex
 from barysub.errors import NotAFacePoset
 from barysub.graphs import clique_complex, comparability_graph, transitive_orientations
@@ -139,6 +142,10 @@ def test_constructor_rejects_bad_ground():
         (-3, [[1]], ValueError, "facet [1] outside ground set of size -3"),
         (65, [[65]], ValueError, "vertex 65 outside 1..64"),
         (-1, [], EmptyInput, "ground set must have at least one element"),
+        # bool is not an integer here: JSON true must not become a ground
+        # set of 1
+        (True, [[1]], ValueError, "ground size True must be an integer"),
+        (2.0, [[1]], ValueError, "ground size 2.0 must be an integer"),
     ]:
         with pytest.raises(error) as info:
             complex_from_facets(n, facets)
@@ -224,6 +231,9 @@ def test_constructor_checks_its_facets():
     # The constructor takes the facet masks themselves, sorted by (size, lex).
     for n, masks, void, message in [
         (3, (1,), True, "void complex cannot carry facets"),
+        (True, (1,), False, "ground size True must be an integer"),
+        (False, (), True, "ground size False must be an integer"),
+        (2.0, (1,), False, "ground size 2.0 must be an integer"),
         (3, ((1, 2),), False, "facet mask (1, 2) invalid over ground size 3"),
         (3, (True,), False, "facet mask True invalid over ground size 3"),
         (3, (1.0,), False, "facet mask 1.0 invalid over ground size 3"),
@@ -358,6 +368,27 @@ def test_skeleton_pinned():
     edges = full_simplex(64).skeleton(1)
     assert len(edges.masks) == 2016
     assert edges == complex_from_facets(64, combinations(range(1, 65), 2))
+
+
+def test_skeleton_refuses_past_its_budget_before_listing():
+    # the budget counts C(|F|, i+1) for each facet F larger than i+1
+    simplex = full_simplex(64)
+    assert len(simplex.skeleton(2).masks) == 41664 <= SKELETON_BUDGET
+    for i in (60, 62, 63):
+        assert len(simplex.skeleton(i).masks) == math.comb(64, i + 1)
+    for i in (3, 4, 31, 59):
+        start = time.perf_counter()
+        with pytest.raises(SearchBudgetExceeded) as info:
+            simplex.skeleton(i)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (
+            f"{i}-skeleton lists {math.comb(64, i + 1)} faces, over the budget of 100000")
+    # two 40-vertex facets: 91,390 subsets of 4 each, within the budget
+    # alone and over it together; the small facet is kept, not counted
+    two = complex_from_facets(64, [range(1, 41), range(25, 65), [1, 64]])
+    assert len(complex_from_facets(40, [range(1, 41)]).skeleton(3).masks) == 91390
+    with pytest.raises(SearchBudgetExceeded, match="lists 182780 faces"):
+        two.skeleton(3)
 
 
 def test_skeleton_mixed_dimensions():

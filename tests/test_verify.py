@@ -1,7 +1,6 @@
 """Universe enumeration and the exhaustive desk-scale verification harnesses."""
 
 from collections import namedtuple
-import dataclasses
 import hashlib
 from itertools import combinations, permutations
 import random
@@ -13,6 +12,7 @@ from helpers import facet_sets
 
 from barysub import (
     EmptyInput,
+    ReconstructionReport,
     UniverseTooLarge,
     are_isomorphic,
     canonical_form,
@@ -270,7 +270,8 @@ def test_round_trip_witness_failure_is_reported(monkeypatch):
         rec = real(g)
         m = list(rec.source_map)
         m[0], m[1] = m[1], m[0]
-        return dataclasses.replace(rec, source_map=tuple(m))
+        return ReconstructionReport(rec.status, rec.complex, rec.orientations_tried,
+                                    rec.both_orientations_admissible, tuple(m))
 
     monkeypatch.setattr(verify_module, "reconstruct_from_comparability_graph", swapped)
     r = verify_subdivision_rigidity(4)
@@ -285,7 +286,9 @@ def test_round_trip_fails_when_a_source_is_not_a_vertex(monkeypatch):
 
     def largest_face_first(g):
         rec = real(g)
-        return dataclasses.replace(rec, source_map=(g.vertex_count - 1,) + rec.source_map[1:])
+        return ReconstructionReport(rec.status, rec.complex, rec.orientations_tried,
+                                    rec.both_orientations_admissible,
+                                    (g.vertex_count - 1,) + rec.source_map[1:])
 
     monkeypatch.setattr(verify_module, "reconstruct_from_comparability_graph", largest_face_first)
     r = verify_subdivision_rigidity(4)

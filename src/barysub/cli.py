@@ -81,19 +81,19 @@ def _read_graph(path: str):
     return jsonio.graph_from_obj(_read_json(path))
 
 
+def _answer(text: str, yes: bool = True) -> tuple[str, int]:
+    return text, 0 if yes else 1
+
+
 def _complex_out(cx) -> tuple[str, int]:
-    return jsonio.dumps(jsonio.complex_to_obj(cx)), 0
-
-
-def _json(obj, yes: bool = True) -> tuple[str, int]:
-    return jsonio.dumps(obj), 0 if yes else 1
+    return jsonio.complex_text(cx), 0
 
 
 def _subdivide(args, cx) -> tuple[str, int]:
     if args.k == 1:
         sub, faces = barycentric_subdivision(cx)
         if args.labels:
-            _write(jsonio.dumps(jsonio.labeling_to_obj(faces)), args.labels)
+            _write(jsonio.labeling_text(faces), args.labels)
         return _complex_out(sub)
     if args.labels:
         raise ValueError("--labels pairs with a single subdivision step")
@@ -103,24 +103,25 @@ def _subdivide(args, cx) -> tuple[str, int]:
 def _iso(args, a, b) -> tuple[str, int]:
     witness = are_isomorphic(a, b)
     mapping = None if witness is None else list(witness)
-    return _json({"isomorphic": witness is not None, "map": mapping}, witness is not None)
+    return _answer(jsonio.dumps({"isomorphic": witness is not None, "map": mapping}),
+                   witness is not None)
 
 
 def _reconstruction(rep, want_report: bool) -> tuple[str, int]:
     if want_report or rep.status != STATUS_OK:
-        return _json(jsonio.reconstruction_report_to_obj(rep), rep.status == STATUS_OK)
+        return _answer(jsonio.reconstruction_report_text(rep), rep.status == STATUS_OK)
     return _complex_out(rep.complex)
 
 
 def _check_comparability(args, g) -> tuple[str, int]:
     rep = reconstruct_from_comparability_graph(g)
     obj = {"is_comparability_graph": rep.status == STATUS_OK, "status": rep.status}
-    return _json(obj, rep.status == STATUS_OK)
+    return _answer(jsonio.dumps(obj), rep.status == STATUS_OK)
 
 
 def _verify(args) -> tuple[str, int]:
     rep = verify_theorems(args.max_vertices, args.theorem)
-    return _json(jsonio.verification_report_to_obj(rep), not rep.failures)
+    return _answer(jsonio.verification_report_text(rep), not rep.failures)
 
 
 # One CLI command: its help text; its inputs, each a (positional name, help,
@@ -150,18 +151,18 @@ COMMANDS = {
                           lambda args, cx: _complex_out(complement_complex(cx))),
     "comp-graph": Command(
         "comparability graph of the face poset (graph JSON out)", COMPLEX,
-        lambda args, cx: _json(jsonio.graph_to_obj(comparability_graph(cx)))),
+        lambda args, cx: _answer(jsonio.graph_text(comparability_graph(cx)))),
     "skeleton": Command("i-skeleton (complex JSON out)", COMPLEX,
                         lambda args, cx: _complex_out(cx.skeleton(args.i)),
                         (_opt("-i", type=int, required=True, help="skeleton dimension"),)),
     "nonfaces": Command("minimal nonfaces (generator-set JSON out)", COMPLEX,
-                        lambda args, cx: _json(jsonio.generators_to_obj(cx.minimal_nonfaces()))),
+                        lambda args, cx: _answer(jsonio.generators_text(cx.minimal_nonfaces()))),
     "sr-gens": Command(
         "Stanley-Reisner ideal generator supports", COMPLEX,
-        lambda args, cx: _json(jsonio.generators_to_obj(stanley_reisner_generators(cx)))),
+        lambda args, cx: _answer(jsonio.generators_text(stanley_reisner_generators(cx)))),
     "facet-gens": Command(
         "facet ideal generator supports", COMPLEX,
-        lambda args, cx: _json(jsonio.generators_to_obj(facet_ideal_generators(cx)))),
+        lambda args, cx: _answer(jsonio.generators_text(facet_ideal_generators(cx)))),
     "euler": Command("Euler characteristic (bare integer out)", COMPLEX,
                      lambda args, cx: (str(cx.euler_characteristic()), 0)),
     "iso": Command("isomorphism test with witness; exit code is the answer",

@@ -163,8 +163,10 @@ class SimplicialComplex(_Record):
     empty complex, whose single face is the empty set. Both have
     dimension -1. Every library operation yields a facet antichain by
     construction and builds its result from those facet masks through
-    ``_antichain_complex``, which sorts them; :func:`complex_from_facets`
-    first normalizes an arbitrary generating family into such an antichain.
+    ``_antichain_complex``, which sorts them, or passes them here already
+    sorted where it knows their order (the dual and the complement);
+    :func:`complex_from_facets` first normalizes an arbitrary generating
+    family into such an antichain.
     """
 
     __slots__ = _fields = ("ground_size", "masks", "void")
@@ -385,6 +387,11 @@ def complex_from_facets(ground_size: int, facets) -> SimplicialComplex:
     return _generated_complex(ground_size, map(_vertex_mask, facets))
 
 
+# _VERTEX_BIT[v] is vertex v's bit, 1 << (v - 1), for v in 1..64: a lookup
+# allocates no int, where the shift builds a big int past bit 30.
+_VERTEX_BIT = (0, *(1 << i for i in range(MAX_GROUND)))
+
+
 def _vertex_mask(entries) -> int:
     """The mask of an iterable of vertices, each an integer in 1..64.
 
@@ -397,7 +404,7 @@ def _vertex_mask(entries) -> int:
         if type(v) is not int and not _is_int(v):
             raise ValueError(f"vertex {v!r} in vertex set {entries!r} must be an integer")
         if 1 <= v <= MAX_GROUND:
-            mask |= 1 << (v - 1)
+            mask |= _VERTEX_BIT[v]
         elif outside is None:
             outside = v
     if outside is not None:
@@ -407,9 +414,12 @@ def _vertex_mask(entries) -> int:
 
 def _generated_complex(ground_size: int, masks) -> SimplicialComplex:
     """:func:`complex_from_facets` on face masks, each checked against the ground set."""
+    if type(ground_size) is not int and not _is_int(ground_size):
+        # the constructor's own message, before any facet is named
+        raise ValueError(f"ground size {ground_size!r} must be an integer")
     seen = set()
     for m in masks:
-        # a length, not a full mask: ground_size is not checked yet
+        # a length, not a full mask: ground_size may still be below 1
         if m.bit_length() > max(ground_size, 0):
             shown = list(_mask_elements(m))
             raise ValueError(f"facet {shown} outside ground set of size {ground_size}")

@@ -76,17 +76,25 @@ def iterated_subdivision(cx: SimplicialComplex, k: int) -> SimplicialComplex:
     return out
 
 
+# Complementing within the ground set reverses the (cardinality, lex) order:
+# sizes turn into n minus size, and of two sets of one size the one holding
+# the least element of their symmetric difference loses it. So the dual and
+# the complement list their facets in reverse, with no sort; the
+# constructor's order check still guards them.
 def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
     """The dual complex: facets are ground-complements of the minimal nonfaces.
 
     An involution on complexes over a fixed ground set. The full simplex and
     the void complex are each other's duals.
     """
-    full = cx.full_mask
-    duals = [full & ~nf for nf in cx.minimal_nonfaces()]
-    if not duals:
+    nonfaces = cx.minimal_nonfaces()
+    if not nonfaces:
         return void_complex(cx.ground_size)
-    return _antichain_complex(cx.ground_size, duals)
+    full = cx.full_mask
+    # ∂Δ's one minimal nonface is the full set; its complement ∅ is left
+    # out, so ∂Δ's dual is the empty complex
+    return SimplicialComplex(
+        cx.ground_size, tuple(full & ~nf for nf in reversed(nonfaces) if nf != full))
 
 
 def complement_complex(cx: SimplicialComplex) -> SimplicialComplex:
@@ -97,8 +105,12 @@ def complement_complex(cx: SimplicialComplex) -> SimplicialComplex:
     if cx.void:
         return void_complex(cx.ground_size)
     full = cx.full_mask
-    # the empty complex's one facet is ∅, whose complement is the full set
-    return _antichain_complex(cx.ground_size, [full & ~m for m in cx.masks] or [full])
+    if not cx.masks:
+        # the empty complex's one facet is ∅, whose complement is the full set
+        return SimplicialComplex(cx.ground_size, (full,))
+    # the full simplex's one facet complements to ∅, which is left out
+    return SimplicialComplex(
+        cx.ground_size, tuple(full & ~m for m in reversed(cx.masks) if m != full))
 
 
 def stanley_reisner_generators(cx: SimplicialComplex) -> list[int]:

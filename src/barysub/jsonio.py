@@ -1,10 +1,18 @@
-"""JSON wire formats. Every writer emits canonical, fully sorted output."""
+"""JSON wire formats. Every writer emits canonical, fully sorted output.
+
+The writers return the JSON text itself, byte for byte what
+``json.dumps`` with ``(", ", ": ")`` separators gives for the object form
+(``{"ground_set": n, "facets": [[1, 2], ...]}`` and so on). Vertex lists are
+rendered from masks a byte at a time; scalars and edge pairs go through
+:func:`dumps`.
+"""
 
 from __future__ import annotations
 
+import functools
 import json
 
-from .core import (SimplicialComplex, _generated_complex, _is_int, _mask_elements, _vertex_mask,
+from .core import (MAX_GROUND, SimplicialComplex, _generated_complex, _is_int, _vertex_mask,
                    void_complex)
 from .errors import GroundSetTooLarge
 from .graphs import LabeledGraph
@@ -18,16 +26,6 @@ from .verify import VerificationReport
 # (Python 3.11, 2-CPU Linux host). Graphs built in the library, such as
 # ``comparability_graph`` results, are not capped.
 MAX_GRAPH_VERTICES = 4096
-
-
-def complex_to_obj(cx: SimplicialComplex) -> dict:
-    obj = {
-        "ground_set": cx.ground_size,
-        "facets": [list(_mask_elements(m)) for m in cx.masks],
-    }
-    if cx.void:
-        obj["void"] = True
-    return obj
 
 
 def complex_from_obj(obj) -> SimplicialComplex:
@@ -56,18 +54,6 @@ def _list_mask(entries) -> int:
     if not isinstance(entries, list):
         raise ValueError(f"vertex set {entries!r} must be a list")
     return _vertex_mask(entries)
-
-
-def labeling_to_obj(faces: tuple[int, ...]) -> dict:
-    return {"vertices": [list(_mask_elements(f)) for f in faces]}
-
-
-def graph_to_obj(g: LabeledGraph) -> dict:
-    if g.labels is None:
-        vertices = g.vertex_count
-    else:
-        vertices = [list(_mask_elements(lbl)) for lbl in g.labels]
-    return {"vertices": vertices, "edges": [list(e) for e in g.edges]}
 
 
 def graph_from_obj(obj) -> LabeledGraph:
@@ -109,28 +95,6 @@ def graph_from_obj(obj) -> LabeledGraph:
     return LabeledGraph(tuple(adj), labels)
 
 
-def reconstruction_report_to_obj(rep: ReconstructionReport) -> dict:
-    return {
-        "status": rep.status,
-        "complex": None if rep.complex is None else complex_to_obj(rep.complex),
-        "orientations_tried": rep.orientations_tried,
-        "both_admissible": rep.both_orientations_admissible,
-    }
-
-
-def verification_report_to_obj(rep: VerificationReport) -> dict:
-    return {
-        "universe_size": rep.universe_size,
-        "pair_checks": rep.pair_checks,
-        "failures": list(rep.failures),
-        "notes": list(rep.notes),
-    }
-
-
-def generators_to_obj(sets: list[int]) -> dict:
-    return {"sets": [list(_mask_elements(s)) for s in sets]}
-
-
 _encode = json.JSONEncoder(separators=(", ", ": ")).encode
 
 
@@ -138,3 +102,54 @@ def dumps(obj) -> str:
     """Canonical single-line JSON text (insertion-ordered keys, no floats)."""
     return _encode(obj)
 
+
+# _BYTE_TEXT[k][b] is the text of the vertices that byte b sets in byte k of
+# a mask, each after ", ": ", 1, 2, 5", or "" for b = 0. Built by doubling,
+# as core._BYTE_ELEMENTS is: adding vertex v appends, to the texts so far,
+# the same texts followed by ", v".
+_BYTE_TEXT = tuple(
+    functools.reduce(lambda t, s: t + [e + s for e in t], [f", {v}" for v in range(base, base + 8)],
+                     [""])
+    for base in range(1, MAX_GROUND, 8))
+
+
+def _sets_text(masks) -> str:
+    # One vertex list per mask: its 8 byte texts joined, less the first ", ".
+    # Masks are below 2**64; a wider one raises OverflowError.
+    return "[" + ", ".join([
+        "[" + "".join(map(list.__getitem__, _BYTE_TEXT, m.to_bytes(8, "little")))[2:] + "]"
+        for m in masks]) + "]"
+
+
+def complex_text(cx: SimplicialComplex) -> str:
+    void = ', "void": true' if cx.void else ""
+    return f'{{"ground_set": {cx.ground_size}, "facets": {_sets_text(cx.masks)}{void}}}'
+
+
+def generators_text(sets: list[int]) -> str:
+    return f'{{"sets": {_sets_text(sets)}}}'
+
+
+def labeling_text(faces: tuple[int, ...]) -> str:
+    return f'{{"vertices": {_sets_text(faces)}}}'
+
+
+def graph_text(g: LabeledGraph) -> str:
+    vertices = g.vertex_count if g.labels is None else _sets_text(g.labels)
+    return f'{{"vertices": {vertices}, "edges": {dumps(g.edges)}}}'
+
+
+def reconstruction_report_text(rep: ReconstructionReport) -> str:
+    cx = "null" if rep.complex is None else complex_text(rep.complex)
+    return (f'{{"status": {dumps(rep.status)}, "complex": {cx}, '
+            f'"orientations_tried": {rep.orientations_tried}, '
+            f'"both_admissible": {dumps(rep.both_orientations_admissible)}}}')
+
+
+def verification_report_text(rep: VerificationReport) -> str:
+    return dumps({
+        "universe_size": rep.universe_size,
+        "pair_checks": rep.pair_checks,
+        "failures": list(rep.failures),
+        "notes": list(rep.notes),
+    })

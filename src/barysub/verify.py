@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, permutations
-import random
 
 from .core import (
     SimplicialComplex,
@@ -304,6 +303,7 @@ def verify_subdivision_rigidity(n: int) -> VerificationReport:
         "pair checks = distinct unordered graph pairs + one reconstruction "
         "and one relabeled-copy graph comparison per universe member"
     )
+    import random  # only here: a plain `import barysub.cli` does not load it
     rng = random.Random(20260816 + n)
     graphs = [comparability_graph(cx) for cx in universe]
     keys, forms = _iso_keys(graphs, _graph_invariant, graph_canonical_form)
@@ -435,6 +435,7 @@ def verify_equivalences(n: int) -> VerificationReport:
                     f"pair ({i},{j}): item {item} answers "
                     f"{ki == kj} but complex isomorphism is {expected}"
                 )
+    import random
     rng = random.Random(8160000 + n)
     for i, cx in enumerate(universe):
         srs, fgs = stanley_reisner_generators(cx), facet_ideal_generators(cx)

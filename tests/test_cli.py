@@ -602,7 +602,8 @@ def test_importing_the_cli_loads_no_record_machinery():
                           capture_output=True, text=True, timeout=60, check=True)
     added = set(done.stdout.split())
     assert "barysub.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "typing"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "typing",
+                        "random"}
 
 
 # Tokens the plain argv reader must leave to argparse: help, version,

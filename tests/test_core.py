@@ -248,6 +248,13 @@ def test_constructor_checks_its_facets():
             SimplicialComplex(n, masks, void)
         assert type(info.value) is ValueError
         assert str(info.value) == message
+    # complex_from_facets names a ground size that is not an integer before
+    # any facet, with the constructor's message
+    for n, facets in [(False, [[1]]), (True, [[5]]), (2.0, [[1], ["a"]])]:
+        with pytest.raises(ValueError) as info:
+            complex_from_facets(n, facets)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"ground size {n!r} must be an integer"
     # Random mask tuples, half of them pre-sorted, with sizes 1-3 so that
     # equal sizes and duplicates are common: accepted exactly when their
     # _mask_key ints strictly increase.

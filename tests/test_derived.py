@@ -27,7 +27,7 @@ from barysub import (
     stanley_reisner_generators,
     void_complex,
 )
-from barysub.core import _mask_elements
+from barysub.core import _antichain_complex, _mask_elements
 
 
 def is_face_of(c: SimplicialComplex, mask: int) -> bool:
@@ -281,6 +281,23 @@ def test_dual_of_a_complex_with_many_minimal_nonfaces():
     assert len(d.masks) == len(c.minimal_nonfaces()) == 10560
     assert alexander_dual(d) == c
     assert complex_from_facets(48, map(_mask_elements, d.masks)) == d
+
+
+def test_duality_keeps_the_sorted_facet_order():
+    # The dual and the complement reverse the complemented list instead of
+    # sorting it; each must equal the complex built by sorting.
+    cases = list(helpers.universe_through(4, up_to_iso=False))
+    cases += [complex_from_facets(5, itertools.combinations(range(1, 6), 4)),
+              full_simplex(4), void_complex(4), empty_complex(4)]
+    for c in cases:
+        full = c.full_mask
+        nonfaces = c.minimal_nonfaces()
+        want_dual = (_antichain_complex(c.ground_size, [full & ~nf for nf in nonfaces])
+                     if nonfaces else void_complex(c.ground_size))
+        assert alexander_dual(c) == want_dual, c
+        want_complement = (void_complex(c.ground_size) if c.void else _antichain_complex(
+            c.ground_size, [full & ~m for m in c.masks] or [full]))
+        assert complement_complex(c) == want_complement, c
 
 
 def test_complement_pinned_examples():

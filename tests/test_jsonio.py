@@ -11,37 +11,56 @@ from helpers import cx
 from barysub import (
     EmptyInput,
     GroundSetTooLarge,
+    VerificationReport,
     barycentric_subdivision,
     comparability_graph,
+    empty_complex,
+    full_simplex,
     reconstruct_from_comparability_graph,
     stanley_reisner_generators,
     verify_equivalences,
     void_complex,
 )
+from barysub.core import _mask_elements
 from barysub.jsonio import (
     MAX_GRAPH_VERTICES,
     complex_from_obj,
-    complex_to_obj,
-    dumps,
-    generators_to_obj,
+    complex_text,
+    generators_text,
     graph_from_obj,
-    graph_to_obj,
-    labeling_to_obj,
-    reconstruction_report_to_obj,
-    verification_report_to_obj,
+    graph_text,
+    labeling_text,
+    reconstruction_report_text,
+    verification_report_text,
 )
 
 TRI = cx(3, (1, 2), (1, 3), (2, 3))
 
 
+# The object forms the writers render, as the JSON encoder would write them.
+def _sets_obj(masks) -> list:
+    return [list(_mask_elements(m)) for m in masks]
+
+
+def _complex_obj(c) -> dict:
+    obj = {"ground_set": c.ground_size, "facets": _sets_obj(c.masks)}
+    if c.void:
+        obj["void"] = True
+    return obj
+
+
+def _encoded(obj) -> str:
+    return json.dumps(obj, separators=(", ", ": "))
+
+
 def test_complex_canonical_text():
-    assert dumps(complex_to_obj(TRI)) == (
+    assert complex_text(TRI) == (
         '{"ground_set": 3, "facets": [[1, 2], [1, 3], [2, 3]]}'
     )
-    assert dumps(complex_to_obj(void_complex(2))) == (
+    assert complex_text(void_complex(2)) == (
         '{"ground_set": 2, "facets": [], "void": true}'
     )
-    assert dumps(complex_to_obj(cx(2, (1,), (2,)))) == (
+    assert complex_text(cx(2, (1,), (2,))) == (
         '{"ground_set": 2, "facets": [[1], [2]]}'
     )
 
@@ -51,7 +70,7 @@ def test_complex_round_trip():
     cases = [helpers.random_complex(rng, rng.randint(1, 10)) for _ in range(50)]
     cases += [void_complex(4), cx(1, (1,))]
     for c in cases:
-        assert complex_from_obj(json.loads(dumps(complex_to_obj(c)))) == c
+        assert complex_from_obj(json.loads(complex_text(c))) == c
 
 
 def test_complex_from_obj_normalizes():
@@ -140,16 +159,16 @@ def test_graph_from_obj_wants_strict_integers(bad, named):
 
 def test_labeling_round_trip():
     _, faces = barycentric_subdivision(TRI)
-    text = dumps(labeling_to_obj(faces))
+    text = labeling_text(faces)
     assert text == '{"vertices": [[1], [2], [3], [1, 2], [1, 3], [2, 3]]}'
     assert tuple(helpers.mask_of(f) for f in json.loads(text)["vertices"]) == faces
 
 
 def test_graph_canonical_text():
     g = helpers.graph(3, ((0, 1), (1, 2)))
-    assert dumps(graph_to_obj(g)) == '{"vertices": 3, "edges": [[0, 1], [1, 2]]}'
+    assert graph_text(g) == '{"vertices": 3, "edges": [[0, 1], [1, 2]]}'
     labeled = comparability_graph(cx(2, (1, 2)))
-    assert dumps(graph_to_obj(labeled)) == (
+    assert graph_text(labeled) == (
         '{"vertices": [[1], [2], [1, 2]], "edges": [[0, 2], [1, 2]]}'
     )
 
@@ -158,9 +177,9 @@ def test_graph_round_trip():
     rng = random.Random(149)
     for _ in range(40):
         g = helpers.random_graph(rng, rng.randint(0, 9), rng.random())
-        assert graph_from_obj(json.loads(dumps(graph_to_obj(g)))) == g
+        assert graph_from_obj(json.loads(graph_text(g))) == g
     labeled = comparability_graph(cx(3, (1, 2), (3,)))
-    assert graph_from_obj(json.loads(dumps(graph_to_obj(labeled)))) == labeled
+    assert graph_from_obj(json.loads(graph_text(labeled))) == labeled
 
 
 def test_graph_from_obj_accepts_unsorted_edge_list():
@@ -231,14 +250,14 @@ def test_graph_from_obj_caps_the_vertex_count():
 
 def test_reconstruction_report_shape():
     rep = reconstruct_from_comparability_graph(helpers.cycle_graph(6))
-    obj = reconstruction_report_to_obj(rep)
+    obj = json.loads(reconstruction_report_text(rep))
     assert list(obj) == ["status", "complex", "orientations_tried", "both_admissible"]
     assert obj["status"] == "ok"
     assert obj["orientations_tried"] == 2
     assert obj["both_admissible"] is True
     assert complex_from_obj(obj["complex"]) == rep.complex
     failed = reconstruct_from_comparability_graph(helpers.cycle_graph(5))
-    obj = reconstruction_report_to_obj(failed)
+    obj = json.loads(reconstruction_report_text(failed))
     assert obj == {
         "status": "not_orientable",
         "complex": None,
@@ -249,7 +268,7 @@ def test_reconstruction_report_shape():
 
 def test_verification_report_shape():
     rep = verify_equivalences(2)
-    obj = verification_report_to_obj(rep)
+    obj = json.loads(verification_report_text(rep))
     assert list(obj) == ["universe_size", "pair_checks", "failures", "notes"]
     assert obj["universe_size"] == 2
     assert obj["pair_checks"] == 5
@@ -258,17 +277,55 @@ def test_verification_report_shape():
 
 
 def test_generators_text():
-    assert dumps(generators_to_obj(stanley_reisner_generators(TRI))) == (
+    assert generators_text(stanley_reisner_generators(TRI)) == (
         '{"sets": [[1, 2, 3]]}'
     )
-    assert dumps(generators_to_obj([0])) == '{"sets": [[]]}'
-    assert dumps(generators_to_obj([])) == '{"sets": []}'
+    assert generators_text([0]) == '{"sets": [[]]}'
+    assert generators_text([]) == '{"sets": []}'
 
 
 def test_dumps_is_single_line():
     rng = random.Random(151)
     for _ in range(20):
         c = helpers.random_complex(rng, 8)
-        text = dumps(complex_to_obj(c))
+        text = complex_text(c)
         assert "\n" not in text
-        assert json.loads(text) == complex_to_obj(c)
+        assert json.loads(text) == _complex_obj(c)
+
+
+def test_writers_match_the_json_encoder_on_the_object_forms():
+    rng = random.Random(157)
+    complexes = [helpers.random_complex(rng, rng.randint(1, 64)) for _ in range(150)]
+    complexes += [helpers.random_complex(rng, 64, 3) for _ in range(50)]
+    complexes += [full_simplex(64), cx(64, (64,)), cx(64, (1, 64), (9, 17, 33, 56)),
+                  void_complex(1), void_complex(64), empty_complex(1), empty_complex(64)]
+    assert any(c.masks and c.masks[-1] >> 63 for c in complexes)
+    for c in complexes:
+        assert complex_text(c) == _encoded(_complex_obj(c)), c
+        assert generators_text(list(c.masks)) == _encoded({"sets": _sets_obj(c.masks)})
+        assert labeling_text(c.masks) == _encoded({"vertices": _sets_obj(c.masks)})
+    for sets in ([], [0], [0, 1 << 63], [(1 << 64) - 1]):
+        assert generators_text(sets) == _encoded({"sets": _sets_obj(sets)})
+    graphs = [helpers.random_graph(rng, rng.randint(0, 12), rng.random()) for _ in range(30)]
+    graphs += [comparability_graph(helpers.random_complex(rng, rng.randint(1, 6), 3))
+               for _ in range(30)]
+    graphs += [helpers.graph(0), helpers.graph(2, (), ((1 << 63) | 1, 0))]
+    for g in graphs:
+        vertices = g.vertex_count if g.labels is None else _sets_obj(g.labels)
+        want = {"vertices": vertices, "edges": [list(e) for e in g.edges]}
+        assert graph_text(g) == _encoded(want), g
+    sources = (helpers.cycle_graph(6), helpers.cycle_graph(5), comparability_graph(full_simplex(3)))
+    reports = [reconstruct_from_comparability_graph(g) for g in sources]
+    assert {rep.complex is None for rep in reports} == {True, False}
+    for rep in reports:
+        want = {
+            "status": rep.status,
+            "complex": None if rep.complex is None else _complex_obj(rep.complex),
+            "orientations_tried": rep.orientations_tried,
+            "both_admissible": rep.both_orientations_admissible,
+        }
+        assert reconstruction_report_text(rep) == _encoded(want)
+    for rep in (verify_equivalences(2), VerificationReport(3, 7, ['pair (0,1): "a\\b" ü'], [])):
+        want = {"universe_size": rep.universe_size, "pair_checks": rep.pair_checks,
+                "failures": list(rep.failures), "notes": list(rep.notes)}
+        assert verification_report_text(rep) == _encoded(want)
